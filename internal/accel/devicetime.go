@@ -8,10 +8,10 @@ import (
 // DeviceCommand is one modelled command on a platform's virtual device
 // clock, carrying the four profiling timestamps of
 // CL_PROFILING_COMMAND_{QUEUED,SUBMIT,START,END} as seconds since the
-// engine was built. The host enqueues an option's whole command batch up
-// front (the in-order queue of §IV), so every command of one option
-// shares a Queued/Submit instant while Start/End tile the interval
-// back to back.
+// engine was built. The host enqueues a submission's whole command
+// batch up front (the in-order queue of §IV), so every command of one
+// submission shares a Queued/Submit instant while Start/End tile the
+// interval back to back.
 type DeviceCommand struct {
 	Name                       string
 	Queued, Submit, Start, End float64
@@ -20,20 +20,24 @@ type DeviceCommand struct {
 // Seconds is the command's modelled device execution time.
 func (c DeviceCommand) Seconds() float64 { return c.End - c.Start }
 
-// DeviceTrace is the modelled device timeline of pricing one option:
-// the interval the option occupied on the device clock and its
+// DeviceTrace is the modelled device timeline of one batch submission:
+// the interval the batch occupied on the device clock and its
 // per-command decomposition (transfer in, kernel, readback).
 type DeviceTrace struct {
 	// Backend names the platform whose clock this is.
 	Backend string
-	// Start and End bracket the option on the device clock, seconds.
+	// Start and End bracket the submission on the device clock, seconds.
 	Start, End float64
-	Commands   []DeviceCommand
+	// Options and QuadGroups size the submission: the options priced and
+	// the interleaved quad groups they were swept in.
+	Options, QuadGroups int
+	Commands            []DeviceCommand
 }
 
-// devCommandPlan is the per-option command schedule, precomputed at
-// engine construction: command names and their fractions of the
-// modelled per-option device time.
+// devCommandPlan is the command schedule, precomputed at engine
+// construction: command names and their fractions of the modelled
+// device time. The fractions are per option, so they apportion a batch
+// of any size.
 type devCommandPlan struct {
 	names []string
 	frac  []float64
@@ -89,7 +93,7 @@ func (p devCommandPlan) trace(backend string, start, total float64) DeviceTrace 
 		dt.Commands[i] = DeviceCommand{Name: name, Queued: start, Submit: start, Start: at, End: at + d}
 		at += d
 	}
-	// Float drift never leaves a gap at the option boundary.
+	// Float drift never leaves a gap at the submission boundary.
 	if n := len(dt.Commands); n > 0 {
 		dt.Commands[n-1].End = dt.End
 	}

@@ -7,18 +7,24 @@ import (
 	"binopt/internal/option"
 )
 
-func tracedProbe() option.Option {
-	return option.Option{
-		Right: option.Put, Style: option.American,
-		Spot: 100, Strike: 105, Rate: 0.03, Sigma: 0.2, T: 0.5,
+// tracedBatch is n distinct American puts.
+func tracedBatch(n int) []option.Option {
+	out := make([]option.Option, n)
+	for i := range out {
+		out[i] = option.Option{
+			Right: option.Put, Style: option.American,
+			Spot: 100, Strike: 100 + float64(i), Rate: 0.03, Sigma: 0.2, T: 0.5,
+		}
 	}
+	return out
 }
 
-// TestPriceTracedTimeline: a kernel-substrate engine's modelled device
-// trace decomposes each option into the IV.B command sequence, tiles
-// the device clock gaplessly, and spends exactly the estimate's
-// per-option seconds.
-func TestPriceTracedTimeline(t *testing.T) {
+// TestBatchTimeline: a kernel-substrate engine's modelled device trace
+// is one timeline per batch submission. It decomposes the submission
+// into the IV.B command sequence, tiles the device clock gaplessly
+// across submissions, and spends exactly the estimate's per-option
+// seconds times the batch size.
+func TestBatchTimeline(t *testing.T) {
 	p, err := Get("fpga-ivb")
 	if err != nil {
 		t.Fatal(err)
@@ -33,28 +39,36 @@ func TestPriceTracedTimeline(t *testing.T) {
 	}
 
 	var prevEnd float64
-	for i := 0; i < 3; i++ {
-		price, dtr, err := eng.PriceTraced(tracedProbe())
+	priced := 0
+	for _, n := range []int{1, 4, 6} {
+		batch := tracedBatch(n)
+		prices, dtr, err := eng.PriceBatchTraced(batch, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := eng.Price(tracedProbe())
+		want, err := eng.PriceBatch(batch, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if price != want {
-			t.Errorf("PriceTraced price %v != Price %v", price, want)
+		for i := range want {
+			if math.Float64bits(prices[i]) != math.Float64bits(want[i]) {
+				t.Errorf("batch of %d, option %d: PriceBatchTraced %v != PriceBatch %v", n, i, prices[i], want[i])
+			}
 		}
 		if dtr.Backend != "fpga-ivb" {
 			t.Errorf("backend = %q", dtr.Backend)
 		}
-		// Option i occupies [prevEnd, prevEnd+spo) — the interleaved
-		// plain Price above also advanced the clock by one option.
-		if math.Abs(dtr.Start-prevEnd) > 1e-12 {
-			t.Errorf("option %d starts at %v, want %v (device clock must be contiguous)", i, dtr.Start, prevEnd)
+		if dtr.Options != n || dtr.QuadGroups != (n+3)/4 {
+			t.Errorf("batch of %d: trace sized %d options in %d quad groups, want %d in %d",
+				n, dtr.Options, dtr.QuadGroups, n, (n+3)/4)
 		}
-		if math.Abs((dtr.End-dtr.Start)-spo) > 1e-12*spo {
-			t.Errorf("option %d spans %v device seconds, want %v", i, dtr.End-dtr.Start, spo)
+		// The submission occupies [prevEnd, prevEnd+n·spo) — the plain
+		// PriceBatch above then advanced the clock by another n options.
+		if math.Abs(dtr.Start-prevEnd) > 1e-12 {
+			t.Errorf("batch of %d starts at %v, want %v (device clock must be contiguous)", n, dtr.Start, prevEnd)
+		}
+		if math.Abs((dtr.End-dtr.Start)-float64(n)*spo) > 1e-9*spo {
+			t.Errorf("batch of %d spans %v device seconds, want %v", n, dtr.End-dtr.Start, float64(n)*spo)
 		}
 		names := make([]string, len(dtr.Commands))
 		at := dtr.Start
@@ -62,7 +76,7 @@ func TestPriceTracedTimeline(t *testing.T) {
 		for c, cmd := range dtr.Commands {
 			names[c] = cmd.Name
 			if cmd.Queued != dtr.Start || cmd.Submit != dtr.Start {
-				t.Errorf("command %q queued/submit not at option start: %+v", cmd.Name, cmd)
+				t.Errorf("command %q queued/submit not at submission start: %+v", cmd.Name, cmd)
 			}
 			if math.Abs(cmd.Start-at) > 1e-12 {
 				t.Errorf("command %q starts at %v, want %v (commands must tile)", cmd.Name, cmd.Start, at)
@@ -77,28 +91,28 @@ func TestPriceTracedTimeline(t *testing.T) {
 			t.Errorf("command sequence = %v", names)
 		}
 		if dtr.Commands[len(dtr.Commands)-1].End != dtr.End {
-			t.Errorf("last command ends at %v, option at %v", at, dtr.End)
+			t.Errorf("last command ends at %v, submission at %v", at, dtr.End)
 		}
-		if math.Abs(sum-spo) > 1e-9*spo {
-			t.Errorf("commands sum to %v, option costs %v", sum, spo)
+		if math.Abs(sum-float64(n)*spo) > 1e-9*spo {
+			t.Errorf("commands sum to %v, batch costs %v", sum, float64(n)*spo)
 		}
 		// The kernel dominates: transfers are overhead, not the bulk.
 		if k := dtr.Commands[1].Seconds(); k < dtr.Commands[0].Seconds() || k < dtr.Commands[2].Seconds() {
 			t.Errorf("kernel (%v) should dominate transfers (%v, %v)",
 				k, dtr.Commands[0].Seconds(), dtr.Commands[2].Seconds())
 		}
-		prevEnd = dtr.End + spo // the plain Price call consumed one more slot
+		prevEnd = dtr.End + float64(n)*spo
+		priced += 2 * n
 	}
 
-	// 6 pricings total (3 traced + 3 plain) on the device clock.
-	if got, want := eng.ModelledDeviceSeconds(), 6*spo; math.Abs(got-want) > 1e-9*want {
+	if got, want := eng.ModelledDeviceSeconds(), float64(priced)*spo; math.Abs(got-want) > 1e-9*want {
 		t.Errorf("ModelledDeviceSeconds = %v, want %v", got, want)
 	}
 }
 
-// TestPriceTracedHostEngine: the pure-host reference engine collapses
+// TestBatchTimelineHostEngine: the pure-host reference engine collapses
 // to a single compute command — no PCIe lanes to model.
-func TestPriceTracedHostEngine(t *testing.T) {
+func TestBatchTimelineHostEngine(t *testing.T) {
 	p, err := Get("cpu-ref")
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +121,7 @@ func TestPriceTracedHostEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dtr, err := eng.PriceTraced(tracedProbe())
+	_, dtr, err := eng.PriceBatchTraced(tracedBatch(3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +129,6 @@ func TestPriceTracedHostEngine(t *testing.T) {
 		t.Errorf("host engine commands = %+v, want one compute", dtr.Commands)
 	}
 	if dtr.Commands[0].End != dtr.End || dtr.Commands[0].Start != dtr.Start {
-		t.Errorf("compute command must cover the option interval: %+v", dtr)
+		t.Errorf("compute command must cover the submission interval: %+v", dtr)
 	}
 }

@@ -337,43 +337,47 @@ func (e *Engine) Price(o option.Option) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	e.account(1)
+	e.book(e.perOption, 1)
 	return p, nil
-}
-
-// PriceTraced prices one option and additionally returns its modelled
-// device timeline: the interval the option occupied on this platform's
-// virtual device clock, decomposed into the commands the host program
-// would have enqueued, with the four profiling timestamps each. The
-// telemetry layer renders these as the device lane of the trace.
-func (e *Engine) PriceTraced(o option.Option) (float64, DeviceTrace, error) {
-	if err := e.faultCheck(); err != nil {
-		return 0, DeviceTrace{}, err
-	}
-	p, err := e.host.Price(o)
-	if err != nil {
-		return 0, DeviceTrace{}, err
-	}
-	start := e.account(1)
-	return p, e.devPlan.trace(e.desc.Name, start, e.spo), nil
 }
 
 // PriceBatch prices a batch (workers <= 0 uses GOMAXPROCS) and accounts
 // its modelled substrate activity. The fault hook is consulted once per
 // batch — the batch is one modelled device submission. The host lattice
-// routes the batch through quad-interleaved sweeps, so the accounting
-// mirrors the dispatch: full groups of four book one shared-sweep quad
-// group, the remainder books scalar per-option activity.
+// routes the batch through quad-interleaved sweeps, full or partly
+// filled, so the accounting mirrors the dispatch: every group of up to
+// four options books one shared-sweep quad group.
 func (e *Engine) PriceBatch(opts []option.Option, workers int) ([]float64, error) {
+	prices, _, err := e.priceBatch(opts, workers)
+	return prices, err
+}
+
+// PriceBatchTraced is PriceBatch plus the submission's modelled device
+// timeline: the interval the whole batch occupied on this platform's
+// virtual device clock, decomposed into the commands the host program
+// would have enqueued for it. The telemetry layer renders it as the
+// device lane of the trace.
+func (e *Engine) PriceBatchTraced(opts []option.Option, workers int) ([]float64, DeviceTrace, error) {
+	prices, start, err := e.priceBatch(opts, workers)
+	if err != nil {
+		return nil, DeviceTrace{}, err
+	}
+	dt := e.devPlan.trace(e.desc.Name, start, float64(len(opts))*e.spo)
+	dt.Options, dt.QuadGroups = len(opts), quadGroups(len(opts))
+	return prices, dt, nil
+}
+
+// priceBatch prices and accounts one batch submission, returning the
+// device-clock position the submission started at.
+func (e *Engine) priceBatch(opts []option.Option, workers int) ([]float64, float64, error) {
 	if err := e.faultCheck(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	prices, err := e.host.PriceBatch(opts, workers)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	e.accountBatch(len(opts))
-	return prices, nil
+	return prices, e.accountBatch(len(opts)), nil
 }
 
 // PriceAndGreeksBatch prices a batch with full sensitivities through
@@ -406,32 +410,22 @@ func (e *Engine) accountGreeksBatch(n int) {
 	e.book(add, 5*n)
 }
 
-// account books n scalar-priced options and advances the modelled
-// device clock, returning the device-clock position the work started
-// at.
-func (e *Engine) account(n int) float64 {
+// accountBatch books n options priced through the quad-interleaved
+// batch path: every group of up to four options accumulates perQuad —
+// a partly filled group still runs the whole shared sweep. The device
+// clock and modelled energy remain per-option — they model the paper's
+// measured device, which the interleaving does not change. It returns
+// the device-clock position the batch started at.
+func (e *Engine) accountBatch(n int) float64 {
 	var add opencl.Counters
-	for i := 0; i < n; i++ {
-		add.Add(e.perOption)
+	for i := 0; i < quadGroups(n); i++ {
+		add.Add(e.perQuad)
 	}
 	return e.book(add, n)
 }
 
-// accountBatch books n options priced through the quad-interleaved
-// batch path: full groups of four accumulate perQuad, the scalar
-// remainder perOption. The device clock and modelled energy remain
-// per-option — they model the paper's measured device, which the
-// interleaving does not change.
-func (e *Engine) accountBatch(n int) {
-	var add opencl.Counters
-	for i := 0; i < n/4; i++ {
-		add.Add(e.perQuad)
-	}
-	for i := 0; i < n%4; i++ {
-		add.Add(e.perOption)
-	}
-	e.book(add, n)
-}
+// quadGroups is the number of quad groups n options occupy.
+func quadGroups(n int) int { return (n + 3) / 4 }
 
 // book commits accumulated counters plus n options of device-clock
 // advance, returning the clock position the work started at.

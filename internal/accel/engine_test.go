@@ -88,8 +88,9 @@ func TestEngineAccounting(t *testing.T) {
 
 // TestQuadBatchAccounting: a batch routes through quad-interleaved
 // sweeps, so its modelled activity must book one shared-sweep group per
-// four options plus scalar remainder — control costs paid once per
-// group, data costs per lane.
+// four options, and a 1–3-option tail books one more whole group — the
+// partly filled group runs the full sweep. Control costs are paid once
+// per group, data costs per group lane; joules stay per option.
 func TestQuadBatchAccounting(t *testing.T) {
 	for _, p := range Platforms() {
 		d := p.Describe()
@@ -98,31 +99,41 @@ func TestQuadBatchAccounting(t *testing.T) {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
 		chain := probeChain()
-		batch := make([]option.Option, 5) // one quad group + one scalar
-		for i := range batch {
-			batch[i] = chain[i%len(chain)]
-			batch[i].Strike += float64(i)
-		}
-		if _, err := eng.PriceBatch(batch, 1); err != nil {
-			t.Fatalf("%s: PriceBatch: %v", d.Name, err)
-		}
-		var want opencl.Counters
-		want.Add(eng.perQuad)
-		want.Add(eng.perOption)
-		if got := eng.Counters(); got != want {
-			t.Errorf("%s: batch of 5 booked %+v, want quad group + scalar %+v", d.Name, got, want)
-		}
-		// Data-side activity is per lane: 4 in the group + 1 scalar.
-		if got := eng.Counters().Flops; got != 5*eng.perOption.Flops {
-			t.Errorf("%s: batch flops %d, want 5x per-option %d", d.Name, got, 5*eng.perOption.Flops)
-		}
-		// Control-side activity is shared across the group's four lanes:
-		// the group crosses each barrier once, so 5 options cost 2
-		// options' worth of barriers, not 5.
-		if d.Kind != "cpu" {
-			if per := eng.perOption.Barriers; per <= 0 || eng.Counters().Barriers != 2*per {
-				t.Errorf("%s: batch barriers %d, want 2x per-option %d",
-					d.Name, eng.Counters().Barriers, per)
+		for _, n := range []int{1, 2, 3, 4, 5} {
+			batch := make([]option.Option, n)
+			for i := range batch {
+				batch[i] = chain[i%len(chain)]
+				batch[i].Strike += float64(i)
+			}
+			before, pricedBefore := eng.Counters(), eng.PricedOptions()
+			if _, err := eng.PriceBatch(batch, 1); err != nil {
+				t.Fatalf("%s: PriceBatch: %v", d.Name, err)
+			}
+			groups := (n + 3) / 4
+			var want opencl.Counters
+			want.Add(before)
+			for g := 0; g < groups; g++ {
+				want.Add(eng.perQuad)
+			}
+			got := eng.Counters()
+			if got != want {
+				t.Errorf("%s: batch of %d booked %+v, want %d quad group(s) %+v", d.Name, n, got, groups, want)
+			}
+			// Data-side activity is per group lane, mirrored lanes included.
+			if flops := got.Flops - before.Flops; flops != int64(4*groups)*eng.perOption.Flops {
+				t.Errorf("%s: batch of %d flops %d, want %dx per-option %d", d.Name, n, flops, 4*groups, eng.perOption.Flops)
+			}
+			// Control-side activity is shared across a group's four lanes:
+			// the group crosses each barrier once, so 5 options cost 2
+			// options' worth of barriers, not 5.
+			if d.Kind != "cpu" {
+				if per := eng.perOption.Barriers; per <= 0 || got.Barriers-before.Barriers != int64(groups)*per {
+					t.Errorf("%s: batch of %d barriers %d, want %dx per-option %d",
+						d.Name, n, got.Barriers-before.Barriers, groups, per)
+				}
+			}
+			if priced := eng.PricedOptions() - pricedBefore; priced != int64(n) {
+				t.Errorf("%s: batch of %d booked %d options", d.Name, n, priced)
 			}
 		}
 	}
@@ -212,8 +223,8 @@ func TestEngineFaultHook(t *testing.T) {
 	if _, err := eng.Price(o); err != nil {
 		t.Fatalf("hook pass-through still failed: %v", err)
 	}
-	if _, _, err := eng.PriceTraced(o); !errors.Is(err, boom) {
-		t.Fatalf("faulted PriceTraced = %v, want the hook's error", err)
+	if _, _, err := eng.PriceBatchTraced([]option.Option{o}, 1); !errors.Is(err, boom) {
+		t.Fatalf("faulted PriceBatchTraced = %v, want the hook's error", err)
 	}
 	if _, err := eng.PriceBatch([]option.Option{o, o}, 1); err != nil {
 		t.Fatalf("batch after even call count failed: %v", err)

@@ -20,9 +20,6 @@ import (
 	"binopt/internal/telemetry"
 )
 
-// maxBodyBytes mirrors the node-side request bound.
-const maxBodyBytes = 8 << 20
-
 // Node names one fleet member and where to reach it.
 type Node struct {
 	// Name is the member's ring identity. Placement hashes the name,
@@ -730,9 +727,9 @@ func (rt *Router) handlePrice(w http.ResponseWriter, r *http.Request) {
 	// backpressure (429) spend no error budget.
 	observe := func(failed bool) { rt.slomon.Observe(time.Since(started), failed) }
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, status, err := serve.ReadBody(w, r)
 	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		rt.writeError(w, status, "reading body: %v", err)
 		return
 	}
 	req, err := serve.ParsePriceRequest(body)

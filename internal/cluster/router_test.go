@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -250,4 +251,24 @@ func mustOption(t *testing.T, c serve.Contract) option.Option {
 		t.Fatalf("ToOption: %v", err)
 	}
 	return opt
+}
+
+// TestRouterOversizeBody413: the router refuses a body over the node
+// bound with 413 itself, on both routed endpoints, instead of
+// forwarding truncated JSON or answering 400.
+func TestRouterOversizeBody413(t *testing.T) {
+	const steps = 16
+	_, _, hs := newTestFleet(t, 1, serve.Config{Steps: steps}, Config{Steps: steps})
+	body := bytes.Repeat([]byte(" "), serve.MaxBodyBytes+1)
+	copy(body, `{"contracts":[`)
+	for _, path := range []string{"/v1/price", "/v1/scenarios"} {
+		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d bytes: status %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
 }

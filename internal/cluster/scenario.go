@@ -311,9 +311,9 @@ func (rt *Router) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	// availability but is exempt from the interactive latency budget.
 	observe := func(failed bool) { rt.slomon.ObserveBatch(failed) }
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, status, err := serve.ReadBody(w, r)
 	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		rt.writeError(w, status, "reading body: %v", err)
 		return
 	}
 	req, err := serve.ParseScenarioRequest(body)

@@ -14,13 +14,14 @@ import (
 // GOMAXPROCS.
 //
 // Work is dispatched in quad groups: four consecutive options share one
-// interleaved backward sweep (the QuadPlan), and a trailing group of
-// fewer than four falls back to the scalar plan. Each worker owns one
-// reusable QuadPlan and one reusable scalar Plan, so a steady batch
-// allocates nothing per group. Results are bit-identical to pricing each
-// option alone — the quad lanes run the scalar reference's exact
-// operation sequence — so parallelism and grouping never change the
-// numbers, only the wall clock.
+// interleaved backward sweep (the QuadPlan). A trailing group of fewer
+// than four runs the same sweep with its unused lanes mirroring lane 0:
+// one lane of a quad sweep still costs less than one scalar sweep. Each
+// worker owns one reusable QuadPlan, so a steady batch allocates nothing
+// per group. Results are bit-identical to pricing each option alone —
+// the quad lanes run the scalar reference's exact operation sequence —
+// so parallelism and grouping never change the numbers, only the wall
+// clock.
 //
 // On the first error the dispatcher stops handing out new groups and the
 // workers drain the remainder without pricing it: a doomed batch fails
@@ -68,44 +69,21 @@ func (e *Engine) priceBatch(opts []option.Option, workers int) ([]float64, int64
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var qp *QuadPlan
-			var sp *Plan
+			qp := e.NewQuadPlan()
 			for g := range next {
 				if failed.Load() {
 					continue // drain doomed work without pricing it
 				}
 				priced.Add(1)
 				lo := g * 4
-				hi := lo + 4
-				if hi > len(opts) {
-					hi = len(opts)
-				}
-				if hi-lo == 4 {
-					if qp == nil {
-						qp = e.NewQuadPlan()
-					}
-					lane, err := qp.load(opts[lo:hi])
-					if err != nil {
-						fail(fmt.Errorf("lattice: option %d: %w", lo+lane, err))
-						continue
-					}
-					res := qp.Exec()
-					copy(out[lo:hi], res[:])
+				hi := min(lo+4, len(opts))
+				lane, err := qp.load(opts[lo:hi])
+				if err != nil {
+					fail(fmt.Errorf("lattice: option %d: %w", lo+lane, err))
 					continue
 				}
-				for i := lo; i < hi; i++ {
-					var err error
-					if sp == nil {
-						sp, err = e.NewPlan(opts[i])
-					} else {
-						err = sp.Reset(opts[i])
-					}
-					if err != nil {
-						fail(fmt.Errorf("lattice: option %d: %w", i, err))
-						break
-					}
-					out[i] = sp.Exec()
-				}
+				res := qp.Exec()
+				copy(out[lo:hi], res[:hi-lo])
 			}
 		}()
 	}

@@ -101,32 +101,37 @@ func TestQuadScalarBitParity(t *testing.T) {
 	}
 }
 
-// TestQuadRemainderGroups pins the batch pricer's scalar fallback: batch
-// sizes 1–5 cover no-full-quad, exactly-one-quad, and quad-plus-
-// remainder dispatch, in both precisions.
+// TestQuadRemainderGroups pins the batch pricer's partial quad groups:
+// batch sizes 1–5 cover a lone 1–3-lane group, exactly one full quad,
+// and a full quad plus a 1-lane tail, in both precisions and both leaf
+// modes. Every group runs the quad sweep with its unused lanes
+// mirroring lane 0, and each active lane must match the scalar
+// reference bit for bit.
 func TestQuadRemainderGroups(t *testing.T) {
 	for _, single := range []bool{false, true} {
-		e := quadEngine(t, 257, single, false)
-		all := chainOf(5)
-		for size := 1; size <= 5; size++ {
-			opts := all[:size]
-			want := make([]float64, size)
-			for i, o := range opts {
-				v, err := e.Price(o)
-				if err != nil {
-					t.Fatal(err)
+		for _, device := range []bool{false, true} {
+			e := quadEngine(t, 257, single, device)
+			all := chainOf(5)
+			for size := 1; size <= 5; size++ {
+				opts := all[:size]
+				want := make([]float64, size)
+				for i, o := range opts {
+					v, err := e.Price(o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[i] = v
 				}
-				want[i] = v
-			}
-			for _, workers := range []int{1, 3} {
-				got, err := e.PriceBatch(opts, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Errorf("single=%v size=%d workers=%d option %d: %v != %v",
-							single, size, workers, i, got[i], want[i])
+				for _, workers := range []int{1, 3} {
+					got, err := e.PriceBatch(opts, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Errorf("single=%v device=%v size=%d workers=%d option %d: %v != %v",
+								single, device, size, workers, i, got[i], want[i])
+						}
 					}
 				}
 			}

@@ -17,8 +17,29 @@ import (
 	"binopt/internal/workload"
 )
 
-// maxBodyBytes bounds request bodies (a 2000-contract batch is ~300 KB).
-const maxBodyBytes = 8 << 20
+// MaxBodyBytes bounds request bodies (a 2000-contract batch is ~300 KB).
+const MaxBodyBytes = 8 << 20
+
+// ReadBody reads a request body of at most MaxBodyBytes. On failure it
+// also returns the status to answer with: 413 for a body over the
+// bound, 400 for any other read error.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if err != nil {
+		return nil, bodyStatus(err), err
+	}
+	return body, 0, nil
+}
+
+// bodyStatus maps a body read error to 413 when the body exceeded its
+// http.MaxBytesReader bound and 400 otherwise.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
 
 // Contract is the wire form of an option contract.
 type Contract struct {
@@ -249,9 +270,9 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 	// objectives cover what the server owes well-formed traffic.
 	observe := func(failed bool) { s.slomon.Observe(time.Since(started), failed) }
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, status, err := ReadBody(w, r)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		s.writeError(w, status, "reading body: %v", err)
 		return
 	}
 
@@ -320,8 +341,8 @@ func (s *Server) handleVolCurve(w http.ResponseWriter, r *http.Request) {
 	s.metrics.volcurveReqs.Add(1)
 
 	var req VolCurveRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(&req); err != nil {
+		s.writeError(w, bodyStatus(err), "bad JSON: %v", err)
 		return
 	}
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -14,9 +15,10 @@ import (
 )
 
 // BackendConfig describes one pricing shard: a modelled accelerator from
-// the paper's test environment. The estimate drives admission (faster
-// shards are offered work first) and the energy accounting (modelled
-// joules per option = power / throughput). When Engine is set the shard
+// the paper's test environment. The estimate drives admission (the
+// cheapest shard per option with an idle worker is offered work first,
+// then the fastest to drain) and the energy accounting (modelled joules
+// per option = power / throughput). When Engine is set the shard
 // executes on that platform's calibrated engine — probed against the real
 // simulated kernel and metering device counters — so results are exact
 // and identical across shards while each shard's substrate activity is
@@ -88,9 +90,13 @@ type backend struct {
 	// completed or failed over; admission reads it to estimate drain
 	// time.
 	pending atomic.Int64
-	priced  *atomic.Int64 // metrics counter: options priced here
-	errs    *atomic.Int64 // metrics counter: pricing attempts failed here
-	breaker *breaker
+	// inflight counts batches dispatched to this shard and not yet
+	// finished, queued or executing. Fewer than Workers in flight means
+	// a worker is idle, which energy-first placement looks for.
+	inflight atomic.Int64
+	priced   *atomic.Int64 // metrics counter: options priced here
+	errs     *atomic.Int64 // metrics counter: pricing attempts failed here
+	breaker  *breaker
 }
 
 func newBackend(cfg BackendConfig, m *metrics, bcfg BreakerConfig) *backend {
@@ -145,7 +151,10 @@ func (s *Server) dispatchBatch(batch []*job) {
 // on); if the breakers have shed everything, all shards are candidates
 // again — a fully dark pool should still try rather than park work.
 //
-// First a non-blocking pass in modelled-drain-time order; if every
+// Placement is energy-first: the batch goes to the lowest-joules shard
+// that has an idle worker, so the cheap devices take the load before a
+// faster, hungrier one is woken. When no candidate has an idle worker,
+// a non-blocking pass in modelled-drain-time order follows; if every
 // candidate queue is full, a select across *every* candidate's queue at
 // once, so the batch lands on whichever shard frees up first instead of
 // blocking on one queue chosen from by-then-stale drain scores. The
@@ -154,8 +163,8 @@ func (s *Server) dispatchBatch(batch []*job) {
 // back their admission, rather than leaking them (and a pending count)
 // on a queue nobody drains.
 //
-// A shard's pending count is booked only after its send completes, so
-// the abandoned path has nothing to roll back there.
+// A shard's pending and inflight counts are booked only once its send
+// is certain, so the abandoned path has nothing to roll back there.
 func (s *Server) dispatch(batch []*job, exclude *backend) {
 	candidates := make([]*backend, 0, len(s.backends))
 	for _, be := range s.backends {
@@ -173,14 +182,17 @@ func (s *Server) dispatch(batch []*job, exclude *backend) {
 	if len(candidates) == 0 {
 		candidates = s.backends
 	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].drainScore() < candidates[j].drainScore() })
 
+	sort.SliceStable(candidates, func(i, j int) bool { return candidates[i].joules < candidates[j].joules })
 	for _, be := range candidates {
-		select {
-		case be.jobs <- batch:
-			be.pending.Add(int64(len(batch)))
+		if be.offer(batch, true) {
 			return
-		default:
+		}
+	}
+	sort.Slice(candidates, func(i, j int) bool { return candidates[i].drainScore() < candidates[j].drainScore() })
+	for _, be := range candidates {
+		if be.offer(batch, false) {
+			return
 		}
 	}
 
@@ -199,14 +211,34 @@ func (s *Server) dispatch(batch []*job, exclude *backend) {
 		}
 		return
 	}
-	candidates[chosen-1].pending.Add(int64(len(batch)))
+	be := candidates[chosen-1]
+	be.inflight.Add(1)
+	be.pending.Add(int64(len(batch)))
+}
+
+// offer sends batch to the shard's queue without blocking and reports
+// whether it was taken. With idleOnly it first reserves an idle worker
+// and declines when every worker already has a batch in flight.
+func (be *backend) offer(batch []*job, idleOnly bool) bool {
+	if be.inflight.Add(1) > int64(be.cfg.Workers) && idleOnly {
+		be.inflight.Add(-1)
+		return false
+	}
+	select {
+	case be.jobs <- batch:
+		be.pending.Add(int64(len(batch)))
+		return true
+	default:
+		be.inflight.Add(-1)
+		return false
+	}
 }
 
 // shardKernel resolves the pricing function one shard's workers run: a
 // per-shard PriceFunc override first (fault tests), then the server-
 // wide override (stub tests keep their injected kernel), then the
 // shard's platform engine, then the server's reference engine. Only the
-// engine path has a modelled device timeline.
+// engine path prices whole batches and has a modelled device timeline.
 func (s *Server) shardKernel(be *backend) (func(option.Option) (float64, error), *accel.Engine) {
 	switch {
 	case be.cfg.PriceFunc != nil:
@@ -220,95 +252,96 @@ func (s *Server) shardKernel(be *backend) (func(option.Option) (float64, error),
 	}
 }
 
-// worker drains batches from one shard until its queue closes. A whole
-// cache-miss micro-batch is submitted to the shard engine's
-// quad-interleaved batch pricer in one call; batches the fast path
-// cannot take (no engine, device-timeline tracing, single job, or a
-// failed submission) fall back to the per-job loop. Results are cached,
-// metered, and delivered on each job's buffered channel; failed
-// pricings are metered against the shard's breaker and handed to
-// failover.
+// worker drains batches from one shard until its queue closes. A shard
+// with a platform engine submits every batch, traced or not, to the
+// engine's quad-interleaved batch pricer; a shard without one prices
+// job by job on its kernel. Results are cached, metered, and delivered
+// on each job's buffered channel; failed pricings are metered against
+// the shard's breaker and handed to failover.
 func (s *Server) worker(be *backend) {
 	defer s.wg.Done()
 	priceFn, engine := s.shardKernel(be)
 	for batch := range be.jobs {
-		if s.runBatch(be, batch, engine) {
-			continue
+		if engine != nil {
+			s.runBatch(be, batch, engine)
+		} else {
+			for _, j := range batch {
+				s.runJob(be, j, priceFn)
+			}
 		}
-		for _, j := range batch {
-			s.runJob(be, j, priceFn, engine)
-		}
+		be.inflight.Add(-1)
 	}
 }
 
-// runBatch prices one micro-batch through the shard engine's batch
-// path, which routes groups of four options into one shared
-// quad-interleaved sweep. It reports false when the batch must take the
-// per-job path instead: no platform engine, the tracer wants per-option
-// device timelines (PriceTraced is per-option), a single job (nothing
-// to interleave), or the batch submission failed — re-running the jobs
-// individually lets the breaker and failover see exactly which option
-// failed, instead of failing the whole batch over.
-func (s *Server) runBatch(be *backend, batch []*job, engine *accel.Engine) bool {
-	if engine == nil || s.tracer.Enabled() || len(batch) < 2 {
-		return false
-	}
+// runBatch prices one micro-batch as one submission to the shard
+// engine's batch pricer, which sweeps groups of up to four options
+// through one shared quad-interleaved sweep and spreads the groups over
+// GOMAXPROCS goroutines. If the submission fails, a lone job goes
+// straight to failover: there is nothing to isolate, and a re-run would
+// draw the fault hook twice for one attempt. A larger batch re-runs its
+// jobs one by one, so the breaker and failover see exactly which option
+// failed instead of failing the whole batch over.
+func (s *Server) runBatch(be *backend, batch []*job, engine *accel.Engine) {
 	picked := time.Now()
 	opts := make([]option.Option, len(batch))
 	for i, j := range batch {
 		j.picked = picked
 		opts[i] = j.opt
 	}
-	prices, err := engine.PriceBatch(opts, 1)
-	if err != nil {
-		return false
-	}
+	prices, dtr, err := engine.PriceBatchTraced(opts, 0)
 	computed := time.Now()
-	s.metrics.batchPriced.Add(int64(len(batch)))
-	for i, j := range batch {
-		j.computed = computed
-		be.breaker.onSuccess()
-		s.cache.put(j.key, prices[i])
-		s.metrics.observeOption(computed.Sub(j.enqueued), computed.Unix(), be.joules, be.priced, j.trace)
-		be.pending.Add(-1)
-		s.queued.Add(-1)
-		j.done <- jobResult{price: prices[i], backend: be.cfg.Name, joules: be.joules, retries: j.retries, err: nil}
-	}
-	return true
-}
-
-// runJob prices one job on one shard and settles its outcome: success
-// feeds the cache, the metrics and the requester; failure feeds the
-// breaker, the error counters and the failover path.
-func (s *Server) runJob(be *backend, j *job, priceFn func(option.Option) (float64, error), engine *accel.Engine) {
-	j.picked = time.Now()
-	var price float64
-	var err error
-	if engine != nil && s.tracer.Enabled() {
-		var dtr accel.DeviceTrace
-		price, dtr, err = engine.PriceTraced(j.opt)
-		if err == nil {
-			s.emitDeviceSpans(j, dtr)
-		}
-	} else {
-		price, err = priceFn(j.opt)
-	}
-	j.computed = time.Now()
 	if err != nil {
-		be.breaker.onFailure()
-		be.errs.Add(1)
-		s.metrics.priceErrors.Add(1)
-		s.emitErrorSpan(j, be, err)
-		s.failover(be, j, err)
+		if len(batch) == 1 {
+			batch[0].computed = computed
+			s.failJob(be, batch[0], err)
+			return
+		}
+		for _, j := range batch {
+			s.runJob(be, j, engine.Price)
+		}
 		return
 	}
+	s.metrics.batchPriced.Add(int64(len(batch)))
+	s.emitComputeSpan(be, batch, picked, computed)
+	s.emitDeviceSpans(batch, dtr)
+	for i, j := range batch {
+		j.computed = computed
+		s.settle(be, j, prices[i])
+	}
+}
+
+// runJob prices one job on one shard and settles its outcome.
+func (s *Server) runJob(be *backend, j *job, priceFn func(option.Option) (float64, error)) {
+	j.picked = time.Now()
+	price, err := priceFn(j.opt)
+	j.computed = time.Now()
+	if err != nil {
+		s.failJob(be, j, err)
+		return
+	}
+	s.emitComputeSpan(be, []*job{j}, j.picked, j.computed)
+	s.settle(be, j, price)
+}
+
+// settle delivers one priced job: success feeds the breaker, the cache,
+// the metrics and the requester.
+func (s *Server) settle(be *backend, j *job, price float64) {
 	be.breaker.onSuccess()
 	s.cache.put(j.key, price)
 	s.metrics.observeOption(j.computed.Sub(j.enqueued), j.computed.Unix(), be.joules, be.priced, j.trace)
-	s.emitComputeSpan(j, be)
 	be.pending.Add(-1)
 	s.queued.Add(-1)
 	j.done <- jobResult{price: price, backend: be.cfg.Name, joules: be.joules, retries: j.retries, err: nil}
+}
+
+// failJob books one failed pricing attempt against the shard's breaker
+// and error counters, then hands the job to failover.
+func (s *Server) failJob(be *backend, j *job, err error) {
+	be.breaker.onFailure()
+	be.errs.Add(1)
+	s.metrics.priceErrors.Add(1)
+	s.emitErrorSpan(j, be, err)
+	s.failover(be, j, err)
 }
 
 // failover settles a failed pricing attempt: within the attempt budget
@@ -348,21 +381,35 @@ func retryBackoff(base time.Duration, retry int) time.Duration {
 }
 
 // emitComputeSpan records the worker-side compute span of one priced
-// option on the host clock.
-func (s *Server) emitComputeSpan(j *job, be *backend) {
+// batch on the host clock, on the shard's own track. It is stitched to
+// the batch's first request and lists every request it served.
+func (s *Server) emitComputeSpan(be *backend, batch []*job, picked, computed time.Time) {
 	if !s.tracer.Enabled() {
 		return
 	}
+	j := batch[0]
 	s.tracer.Emit(telemetry.Span{
 		Req: j.req, Trace: j.trace, Name: "compute", Proc: "host", Thread: "backend " + be.cfg.Name,
-		Start: j.picked, Dur: j.computed.Sub(j.picked), Clock: telemetry.Wall,
+		Start: picked, Dur: computed.Sub(picked), Clock: telemetry.Wall,
 		Attrs: map[string]any{
 			"backend": be.cfg.Name,
-			"opt":     j.seq,
+			"options": len(batch),
+			"reqs":    batchReqs(batch),
 			"steps":   s.cfg.Steps,
-			"joules":  be.joules,
+			"joules":  be.joules * float64(len(batch)),
 		},
 	})
+}
+
+// batchReqs lists the distinct request groups a batch serves, in order.
+func batchReqs(batch []*job) []uint64 {
+	var reqs []uint64
+	for _, j := range batch {
+		if !slices.Contains(reqs, j.req) {
+			reqs = append(reqs, j.req)
+		}
+	}
+	return reqs
 }
 
 // emitErrorSpan records one failed pricing attempt on the shard's
@@ -403,15 +450,25 @@ func (s *Server) emitRetrySpan(j *job, be *backend, backoff time.Duration, err e
 	})
 }
 
-// emitDeviceSpans records one priced option's modelled device timeline:
-// an enclosing option span plus one span per modelled command, all on
-// the backend's virtual device clock.
-func (s *Server) emitDeviceSpans(j *job, dtr accel.DeviceTrace) {
+// emitDeviceSpans records one batch submission's modelled device
+// timeline: an enclosing submission span sized in options and quad
+// groups, plus one span per modelled command, all on the backend's
+// virtual device clock and stitched like the batch's compute span.
+func (s *Server) emitDeviceSpans(batch []*job, dtr accel.DeviceTrace) {
+	if !s.tracer.Enabled() {
+		return
+	}
+	j := batch[0]
 	proc := "device:" + dtr.Backend
 	s.tracer.Emit(telemetry.Span{
-		Req: j.req, Trace: j.trace, Name: "option", Proc: proc, Thread: "device clock",
+		Req: j.req, Trace: j.trace, Name: "submission", Proc: proc, Thread: "device clock",
 		DevStart: dtr.Start, DevDur: dtr.End - dtr.Start, Clock: telemetry.Device,
-		Attrs: map[string]any{"backend": dtr.Backend, "opt": j.seq, "steps": s.cfg.Steps},
+		Attrs: map[string]any{
+			"backend":     dtr.Backend,
+			"options":     dtr.Options,
+			"quad_groups": dtr.QuadGroups,
+			"steps":       s.cfg.Steps,
+		},
 	})
 	for _, c := range dtr.Commands {
 		s.tracer.Emit(telemetry.Span{

@@ -281,51 +281,79 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestDispatchSpillsAcrossShards: when the fastest shard's queue is full,
-// batches must land on the others rather than deadlock.
+// TestDispatchSpillsAcrossShards: when the fastest shard's worker is
+// busy and its queue full, batches must land on the other shard rather
+// than deadlock. The shards draw equal power, so the fast shard is also
+// the cheapest per option and energy-first placement offers it work
+// first. The stub kernels hold every pricing until the test has seen
+// the exact placement, so the outcome does not depend on scheduling.
 func TestDispatchSpillsAcrossShards(t *testing.T) {
 	release := make(chan struct{})
+	fastBusy := make(chan struct{}, 1)
+	blocked := func(started chan<- struct{}) func(option.Option) (float64, error) {
+		return func(option.Option) (float64, error) {
+			if started != nil {
+				select {
+				case started <- struct{}{}:
+				default:
+				}
+			}
+			<-release
+			return 1, nil
+		}
+	}
 	s, err := New(Config{
 		Steps: 16, MaxBatch: 1, FlushInterval: time.Millisecond, QueueDepth: 64,
 		Backends: []BackendConfig{
-			{Name: "fast", Estimate: stubEstimate(10000), Workers: 1, QueueDepth: 1},
-			{Name: "slow", Estimate: stubEstimate(10), Workers: 1, QueueDepth: 8},
-		},
-		PriceFunc: func(o option.Option) (float64, error) {
-			<-release
-			return 1, nil
+			{Name: "fast", Estimate: stubEstimate(10000), Workers: 1, QueueDepth: 1, PriceFunc: blocked(fastBusy)},
+			{Name: "slow", Estimate: stubEstimate(10), Workers: 1, QueueDepth: 8, PriceFunc: blocked(nil)},
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fast, slow := s.backends[0], s.backends[1]
 
 	const n = 6
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	price := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			if _, err := s.PriceOptions(context.Background(), []option.Option{testOption(i)}); err != nil {
 				t.Errorf("price %d: %v", i, err)
 			}
-		}(i)
+		}()
 	}
-	for i := 0; i < n; i++ {
-		release <- struct{}{}
+	// The first job occupies the fast shard's only worker...
+	price(0)
+	<-fastBusy
+	// ...then the rest fill its one-slot queue and spill to the slow
+	// shard. Nothing is released until every job has been placed.
+	for i := 1; i < n; i++ {
+		price(i)
 	}
-	wg.Wait()
+	deadline := time.Now().Add(10 * time.Second)
+	for fast.pending.Load()+slow.pending.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d+%d of %d jobs placed", fast.pending.Load(), slow.pending.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := len(fast.jobs); got != cap(fast.jobs) {
+		t.Errorf("fast shard queue holds %d of %d batches with its worker busy", got, cap(fast.jobs))
+	}
 	close(release)
+	wg.Wait()
 
-	slow := s.metrics.backendCounter("slow").Load()
-	fast := s.metrics.backendCounter("fast").Load()
-	if slow+fast != n {
-		t.Fatalf("shards priced %d+%d, want %d total", fast, slow, n)
-	}
-	if slow == 0 {
-		t.Fatal("overflow never spilled to the slow shard")
+	fastN := s.metrics.backendCounter("fast").Load()
+	slowN := s.metrics.backendCounter("slow").Load()
+	if fastN != 2 || slowN != n-2 {
+		t.Fatalf("shards priced fast=%d slow=%d, want 2 (worker + queue slot) and %d", fastN, slowN, n-2)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	s.Close(ctx)
+	if err := s.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
 }

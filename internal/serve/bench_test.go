@@ -43,35 +43,48 @@ func BenchmarkServeBatch(b *testing.B) {
 	b.ReportMetric(float64(b.N*len(batch))/b.Elapsed().Seconds(), "options/s")
 }
 
-// BenchmarkServeBatchTraced is BenchmarkServeBatch with the span ring
-// live — the delta between the two is the whole cost of tracing on the
-// queue path (acceptance: under 5% of options/s).
+// BenchmarkServeBatchTraced measures tracing on the path a default
+// server runs: engine-backed shards at a shallow depth, so every
+// 64-option batch is one submission to a platform engine's quad batch
+// pricer, traced or not. With the span ring live each batch adds its
+// compute span and device timeline and each request its phase spans;
+// the trace=true over trace=false delta is the whole cost of tracing.
 func BenchmarkServeBatchTraced(b *testing.B) {
-	s, err := New(Config{
-		Steps: 16, MaxBatch: 64, FlushInterval: 200 * time.Microsecond,
-		CacheSize: -1,
-		Backends:  stubBackends(2, 64),
-		PriceFunc: stubPrice,
-		Tracer:    telemetry.New(65536),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close(context.Background())
+	for _, traced := range []bool{false, true} {
+		b.Run(fmt.Sprintf("trace=%v", traced), func(b *testing.B) {
+			backends, err := DefaultBackends(16)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := Config{
+				Steps: 16, MaxBatch: 64, FlushInterval: 200 * time.Microsecond,
+				CacheSize: -1,
+				Backends:  backends,
+			}
+			if traced {
+				cfg.Tracer = telemetry.New(65536)
+			}
+			s, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close(context.Background())
 
-	batch := make([]option.Option, 64)
-	for i := range batch {
-		batch[i] = testOption(i)
+			batch := make([]option.Option, 64)
+			for i := range batch {
+				batch[i] = testOption(i)
+			}
+			ctx := context.Background()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.PriceOptions(ctx, batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N*len(batch))/b.Elapsed().Seconds(), "options/s")
+		})
 	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.PriceOptions(ctx, batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N*len(batch))/b.Elapsed().Seconds(), "options/s")
 }
 
 // BenchmarkServeCacheHit measures the steady-state fast path: every

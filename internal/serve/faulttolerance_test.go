@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"binopt/internal/accel"
 	"binopt/internal/faults"
 	"binopt/internal/option"
 	"binopt/internal/workload"
@@ -278,5 +279,46 @@ func TestAttemptBudgetExhaustsAcrossShards(t *testing.T) {
 	}
 	if d := s.QueueDepth(); d != 0 {
 		t.Fatalf("queue depth %d, want 0", d)
+	}
+}
+
+// TestFailedSingletonDrawsHookOnce: a one-job batch whose submission
+// fails goes straight to failover. There is nothing to isolate, and
+// re-running the job alone would draw the shard's fault hook a second
+// time for the same attempt.
+func TestFailedSingletonDrawsHookOnce(t *testing.T) {
+	const steps = 16
+	var backends []BackendConfig
+	for _, name := range []string{"fpga-ivb", "cpu-ref"} {
+		p, err := accel.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := p.NewEngine(steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends = append(backends, BackendConfig{Name: name, Estimate: eng.Estimate(), Engine: eng})
+	}
+	s, _ := newTestServer(t, Config{Steps: steps, CacheSize: -1, Backends: backends})
+	inj, err := faults.Parse("fpga-ivb:err=1", 7)
+	if err != nil {
+		t.Fatalf("faults.Parse: %v", err)
+	}
+	// fpga-ivb is the cheaper shard per option, so it gets the first try.
+	backends[0].Engine.SetFaultHook(inj.HookFor("fpga-ivb"))
+
+	res, err := s.PriceOptions(context.Background(), []option.Option{testOption(0)})
+	if err != nil {
+		t.Fatalf("PriceOptions: %v", err)
+	}
+	if res[0].Backend != "cpu-ref" || res[0].Retries != 1 {
+		t.Errorf("served by %q after %d retries, want cpu-ref after 1", res[0].Backend, res[0].Retries)
+	}
+	if calls := inj.Calls("fpga-ivb"); calls != 1 {
+		t.Errorf("fpga-ivb fault hook drawn %d times for one attempt, want 1", calls)
+	}
+	if got := s.metrics.priceErrors.Load(); got != 1 {
+		t.Errorf("price errors = %d, want 1", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -334,9 +333,9 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	// availability but is exempt from the interactive latency budget.
 	observe := func(failed bool) { s.slomon.ObserveBatch(failed) }
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, status, err := ReadBody(w, r)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		s.writeError(w, status, "reading body: %v", err)
 		return
 	}
 	req, err := ParseScenarioRequest(body)

@@ -72,8 +72,8 @@ type Config struct {
 	// Breaker parameterises the per-shard circuit breakers; zero fields
 	// take the BreakerConfig defaults.
 	Breaker BreakerConfig
-	// Tracer, when set, receives spans for every request and priced
-	// option — host phases and modelled device commands — and enables
+	// Tracer, when set, receives spans for every request and shard
+	// batch — host phases and modelled device commands — and enables
 	// the /debug/trace Chrome-trace endpoint. nil disables tracing (the
 	// emit paths become no-ops).
 	Tracer *telemetry.Tracer
@@ -440,6 +440,7 @@ func (s *Server) PriceOptionsTimed(ctx context.Context, opts []option.Option) ([
 	// metrics and spans. Only the caller's context abandons the wait
 	// (the buffered channels keep the workers from blocking on us).
 	var firstErr error
+	var env phaseEnvelope
 	for k, j := range jobs {
 		select {
 		case res := <-j.done:
@@ -450,11 +451,12 @@ func (s *Server) PriceOptionsTimed(ctx context.Context, opts []option.Option) ([
 				continue
 			}
 			results[jobIdx[k]] = Result{Price: res.price, Backend: res.backend, ModelledJoules: res.joules, Retries: res.retries}
-			s.observeDelivery(j, res, &phases)
+			env.add(j, s.observeDelivery(j, res, &phases))
 		case <-ctx.Done():
 			return nil, phases, ctx.Err()
 		}
 	}
+	s.emitPhaseSpans(reqID, tc.Trace, env)
 	if firstErr != nil {
 		return nil, phases, firstErr
 	}
@@ -464,11 +466,10 @@ func (s *Server) PriceOptionsTimed(ctx context.Context, opts []option.Option) ([
 // observeDelivery closes out one priced option on the requester side:
 // it computes the four phase durations from the job's timestamps (the
 // worker wrote them before sending on done), feeds the phase
-// histograms, books the option's modelled joules into the request
-// ledger and the per-phase energy attribution, and emits the batch/
-// queue/readback host spans. The compute span was emitted by the
-// worker, on the shard's own track.
-func (s *Server) observeDelivery(j *job, res jobResult, phases *PhaseBreakdown) {
+// histograms, and books the option's modelled joules into the request
+// ledger and the per-phase energy attribution. It returns when the
+// result was received.
+func (s *Server) observeDelivery(j *job, res jobResult, phases *PhaseBreakdown) time.Time {
 	recv := time.Now()
 	batchD := j.flushed.Sub(j.enqueued)
 	queueD := j.picked.Sub(j.flushed)
@@ -482,24 +483,63 @@ func (s *Server) observeDelivery(j *job, res jobResult, phases *PhaseBreakdown) 
 	phases.Joules += res.joules
 	s.metrics.observePhases(batchD, queueD, computeD, readbackD)
 	s.attributeJoules(res.joules, batchD, queueD, computeD, readbackD)
-	if !s.tracer.Enabled() {
+	return recv
+}
+
+// phaseEnvelope spans one request's priced options across the three
+// requester-side phases: batch assembly from admission to the last
+// flush, shard queueing from the first flush to the last pick, and
+// readback from the first computed result to the last one received.
+type phaseEnvelope struct {
+	options                              int
+	enqueued, firstFlushed, lastFlushed  time.Time
+	lastPicked, firstComputed, lastRecvd time.Time
+}
+
+func (e *phaseEnvelope) add(j *job, recv time.Time) {
+	if e.options == 0 {
+		e.enqueued, e.firstFlushed, e.lastFlushed = j.enqueued, j.flushed, j.flushed
+		e.lastPicked, e.firstComputed, e.lastRecvd = j.picked, j.computed, recv
+	}
+	e.options++
+	if j.flushed.Before(e.firstFlushed) {
+		e.firstFlushed = j.flushed
+	}
+	if j.flushed.After(e.lastFlushed) {
+		e.lastFlushed = j.flushed
+	}
+	if j.picked.After(e.lastPicked) {
+		e.lastPicked = j.picked
+	}
+	if j.computed.Before(e.firstComputed) {
+		e.firstComputed = j.computed
+	}
+	if recv.After(e.lastRecvd) {
+		e.lastRecvd = recv
+	}
+}
+
+// emitPhaseSpans records one batch, queue and readback span for a
+// request's priced options on the requests track. The compute spans
+// were emitted by the workers, one per shard batch.
+func (s *Server) emitPhaseSpans(req uint64, trace string, env phaseEnvelope) {
+	if !s.tracer.Enabled() || env.options == 0 {
 		return
 	}
-	attrs := func() map[string]any {
-		return map[string]any{"backend": res.backend, "opt": j.seq}
+	for _, ph := range []struct {
+		name       string
+		start, end time.Time
+	}{
+		{"batch", env.enqueued, env.lastFlushed},
+		{"queue", env.firstFlushed, env.lastPicked},
+		{"readback", env.firstComputed, env.lastRecvd},
+	} {
+		s.tracer.Emit(telemetry.Span{
+			Req: req, Trace: trace, Name: ph.name, Proc: "host", Thread: "requests",
+			Start: ph.start, Dur: ph.end.Sub(ph.start), Clock: telemetry.Wall,
+			Attrs: map[string]any{"options": env.options},
+		})
 	}
-	s.tracer.Emit(telemetry.Span{
-		Req: j.req, Trace: j.trace, Name: "batch", Proc: "host", Thread: "requests",
-		Start: j.enqueued, Dur: batchD, Clock: telemetry.Wall, Attrs: attrs(),
-	})
-	s.tracer.Emit(telemetry.Span{
-		Req: j.req, Trace: j.trace, Name: "queue", Proc: "host", Thread: "requests",
-		Start: j.flushed, Dur: queueD, Clock: telemetry.Wall, Attrs: attrs(),
-	})
-	s.tracer.Emit(telemetry.Span{
-		Req: j.req, Trace: j.trace, Name: "readback", Proc: "host", Thread: "requests",
-		Start: j.computed, Dur: readbackD, Clock: telemetry.Wall, Attrs: attrs(),
-	})
 }
 
 // attributeJoules splits one option's modelled energy across the four

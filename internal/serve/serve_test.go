@@ -186,6 +186,31 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// oversizeBody is one byte over MaxBodyBytes: a JSON prefix padded with
+// whitespace, so a streaming decoder also reads up to the bound.
+func oversizeBody() []byte {
+	body := bytes.Repeat([]byte(" "), MaxBodyBytes+1)
+	copy(body, `{"contracts":[`)
+	return body
+}
+
+// TestOversizeBody413: a body over MaxBodyBytes is refused with 413 on
+// every JSON endpoint, not truncated into malformed JSON and a 400.
+func TestOversizeBody413(t *testing.T) {
+	_, hs := newTestServer(t, Config{Steps: 16, Backends: stubBackends(1, 8), PriceFunc: stubPrice})
+	body := oversizeBody()
+	for _, path := range []string{"/v1/price", "/v1/volcurve", "/v1/scenarios"} {
+		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d bytes: status %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+}
+
 // TestVolCurveEndpoint runs the generated-chain form of the use case and
 // checks the recovered smile is a plausible volatility curve.
 func TestVolCurveEndpoint(t *testing.T) {

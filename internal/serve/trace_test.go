@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -49,8 +50,9 @@ func getTrace(t *testing.T, url string) traceDoc {
 
 // TestDebugTraceEndToEnd drives real requests through the HTTP server
 // and checks /debug/trace returns a Chrome trace that decomposes the
-// priced options into all four host phases plus modelled device events,
-// all stitched to the request by a shared req group.
+// priced options into all four host phases plus the modelled device
+// timeline of their batch submission, all stitched to the request by a
+// shared req group.
 func TestDebugTraceEndToEnd(t *testing.T) {
 	_, hs := newTestServer(t, Config{Steps: 64, Tracer: telemetry.New(4096)})
 
@@ -104,8 +106,8 @@ func TestDebugTraceEndToEnd(t *testing.T) {
 	if names["POST /v1/price"] == 0 {
 		t.Error("no request span in trace")
 	}
-	if names["option"] == 0 {
-		t.Error("no device-clock option span in trace")
+	if names["submission"] == 0 {
+		t.Error("no device-clock submission span in trace")
 	}
 	if clocks["wall"] == 0 || clocks["device"] == 0 {
 		t.Errorf("clock coverage = %v, want both wall and device", clocks)
@@ -357,6 +359,109 @@ func TestMetricsExposeObservability(t *testing.T) {
 	} {
 		if !strings.Contains(body, line) {
 			t.Errorf("/metrics missing %q", line)
+		}
+	}
+}
+
+// metricValue scrapes one unlabelled counter from /metrics.
+func metricValue(t *testing.T, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no %s", name)
+	return 0
+}
+
+// TestDefaultConfigTracedBatchPath: a server with the shipped defaults
+// — tracer on, DefaultBackends — prices every cache miss through the
+// engines' quad batch path, singletons included, and its trace shows
+// one device-clock submission per shard batch plus one batch/queue/
+// readback span per request.
+func TestDefaultConfigTracedBatchPath(t *testing.T) {
+	s, hs := newTestServer(t, Config{Steps: 64, Tracer: telemetry.New(4096)})
+
+	const metric = "binopt_batch_priced_options_total"
+	reqSizes := map[float64]int{} // request span ID → contracts
+	for _, n := range []int{10, 1} {
+		req := PriceRequest{Contracts: make([]Contract, n)}
+		for i := range req.Contracts {
+			req.Contracts[i] = FromOption(option.Option{
+				Right: option.Put, Style: option.American,
+				Spot: 100, Strike: 80 + float64(len(reqSizes)*20+i), Rate: 0.03, Sigma: 0.2, T: 0.5,
+			})
+		}
+		before := metricValue(t, hs.URL, metric)
+		resp, _ := postJSON(t, hs.URL+"/v1/price", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%d contracts: status %d", n, resp.StatusCode)
+		}
+		if got := metricValue(t, hs.URL, metric) - before; got != float64(n) {
+			t.Errorf("%d-contract request raised %s by %v, want %d", n, metric, got, n)
+		}
+		_, span, ok := telemetry.ParseTraceParent(resp.Header.Get("traceparent"))
+		if !ok {
+			t.Fatalf("no traceparent on the %d-contract response", n)
+		}
+		reqSizes[float64(span)] = n
+	}
+
+	doc := getTrace(t, hs.URL+"/debug/trace")
+	submissions, submitted := 0, 0.0
+	phases := map[string]map[float64]float64{} // phase → req → options
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		switch ev.Name {
+		case "submission":
+			if clock, _ := ev.Args["clock"].(string); clock != "device" {
+				t.Errorf("submission span on the %q clock", clock)
+			}
+			opts, _ := ev.Args["options"].(float64)
+			groups, ok := ev.Args["quad_groups"].(float64)
+			if !ok || groups != float64((int(opts)+3)/4) {
+				t.Errorf("submission of %v options has quad_groups %v", opts, ev.Args["quad_groups"])
+			}
+			submissions++
+			submitted += opts
+		case "batch", "queue", "readback":
+			if phases[ev.Name] == nil {
+				phases[ev.Name] = map[float64]float64{}
+			}
+			req, _ := ev.Args["req"].(float64)
+			if _, dup := phases[ev.Name][req]; dup {
+				t.Errorf("request %v has more than one %q span", req, ev.Name)
+			}
+			phases[ev.Name][req], _ = ev.Args["options"].(float64)
+		}
+	}
+	if batches := s.metrics.batchSize.Count(); submissions != int(batches) {
+		t.Errorf("%d device submission spans for %d dispatched batches", submissions, batches)
+	}
+	if submitted != 11 {
+		t.Errorf("submission spans cover %v options, want 11", submitted)
+	}
+	for _, name := range []string{"batch", "queue", "readback"} {
+		for req, n := range reqSizes {
+			if got, ok := phases[name][req]; !ok || got != float64(n) {
+				t.Errorf("request %v: %q span covers %v options (present %v), want %d", req, name, got, ok, n)
+			}
 		}
 	}
 }

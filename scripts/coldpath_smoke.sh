@@ -1,18 +1,26 @@
 #!/usr/bin/env bash
 # coldpath_smoke.sh — guard the lattice cold path against silent
-# regression: run BenchmarkPriceAmericanPut1024 (the scalar per-miss
-# cost every cache miss pays at the paper's 1024-step depth) a few
-# times and fail if the best run is more than 25% slower than the
-# committed BENCH_serve.json baseline. Benchmark noise on shared CI
-# boxes is real, hence best-of-N against a generous threshold: this
-# gate catches an accidentally quadratic sweep or a lost optimisation,
-# not single-digit drift. PRs that intentionally move the cold path
-# must append a fresh BENCH_serve.json entry (which rebases this gate).
+# regression at the paper's 1024-step depth, on both sweeps a cache miss
+# can take:
+#
+#   - BenchmarkPriceAmericanPut1024: the scalar reference sweep;
+#   - BenchmarkPriceBatchQuad1024/workers=1: the quad-interleaved batch
+#     pricer every serving shard submits its misses to, on one worker.
+#
+# Each benchmark runs a few times and two gates apply:
+#
+#   - wall time: the best run may be at most 25% slower than the
+#     benchmark's ns_per_op in the latest BENCH_serve.json entry naming
+#     it. Benchmark noise on shared CI boxes is real, hence best-of-N
+#     against a generous threshold: this gate catches an accidentally
+#     quadratic sweep or a lost optimisation, not single-digit drift.
+#   - allocations: no run may allocate more per op than the count pinned
+#     below. allocs/op repeats exactly between runs, so this gate has no
+#     slack; a change that lowers a count should lower its pin too.
 #
 # Run from the repository root:  ./scripts/coldpath_smoke.sh
 set -euo pipefail
 
-BENCH=BenchmarkPriceAmericanPut1024
 COUNT=3
 MAX_REGRESSION_PCT=25
 
@@ -21,29 +29,48 @@ fail() {
     exit 1
 }
 
-# Baseline: the ns_per_op of the LATEST entry naming the benchmark in
-# BENCH_serve.json (entries are append-only, so last wins).
-baseline=$(awk '
-    /"name": "'"$BENCH"'"/ { armed = 1; next }
-    armed && /"ns_per_op"/ { gsub(/[^0-9]/, ""); latest = $0; armed = 0 }
-    END { print latest }
-' BENCH_serve.json)
-[ -n "$baseline" ] || fail "no $BENCH baseline found in BENCH_serve.json"
+# gate NAME PATTERN MAX_ALLOCS: NAME is the benchmark as go test prints
+# it (minus the -GOMAXPROCS suffix) and as BENCH_serve.json records it,
+# PATTERN the -bench regexp selecting it.
+gate() {
+    local name=$1 pattern=$2 max_allocs=$3
+    local baseline
+    baseline=$(awk -v name="$name" '
+        index($0, "\"name\": \"" name "\"") { armed = 1; next }
+        armed && /"ns_per_op"/ { gsub(/[^0-9]/, ""); latest = $0; armed = 0 }
+        END { print latest }
+    ' BENCH_serve.json)
+    [ -n "$baseline" ] || fail "no $name baseline found in BENCH_serve.json"
 
-echo "coldpath_smoke: baseline $BENCH = ${baseline} ns/op"
-echo "coldpath_smoke: running $BENCH (count=$COUNT)"
-out=$(go test ./internal/serve/ -run '^$' -bench "^${BENCH}\$" -benchtime 1s -count "$COUNT")
-echo "$out"
+    echo "coldpath_smoke: $name baseline ${baseline} ns/op, at most ${max_allocs} allocs/op"
+    local out
+    out=$(go test ./internal/serve/ -run '^$' -bench "$pattern" -benchmem -benchtime 1s -count "$COUNT")
+    echo "$out"
 
-best=$(echo "$out" | awk -v bench="$BENCH" '
-    $1 == bench { gsub(/[^0-9]/, "", $3); if (best == "" || $3 + 0 < best + 0) best = $3 }
-    END { print best }
-')
-[ -n "$best" ] || fail "benchmark produced no samples"
+    # Columns: name iterations ns "ns/op" [custom metric unit]... B "B/op" allocs "allocs/op".
+    local stats best allocs
+    stats=$(echo "$out" | awk -v name="$name" '
+        { sub(/-[0-9]+$/, "", $1) }
+        $1 == name {
+            ns = $3 + 0
+            if (best == "" || ns < best) best = ns
+            for (i = 2; i <= NF; i++) if ($i == "allocs/op" && $(i - 1) + 0 > worst) worst = $(i - 1) + 0
+        }
+        END { if (best != "") print best, worst }
+    ')
+    [ -n "$stats" ] || fail "$name produced no samples"
+    read -r best allocs <<<"$stats"
 
-limit=$((baseline + baseline * MAX_REGRESSION_PCT / 100))
-echo "coldpath_smoke: best ${best} ns/op, limit ${limit} ns/op (baseline + ${MAX_REGRESSION_PCT}%)"
-if [ "$best" -gt "$limit" ]; then
-    fail "cold path regressed: best ${best} ns/op > ${limit} ns/op (baseline ${baseline} + ${MAX_REGRESSION_PCT}%)"
-fi
+    local limit=$((baseline + baseline * MAX_REGRESSION_PCT / 100))
+    echo "coldpath_smoke: $name best ${best} ns/op (limit ${limit}), worst ${allocs} allocs/op (limit ${max_allocs})"
+    if [ "$best" -gt "$limit" ]; then
+        fail "$name regressed: best ${best} ns/op > ${limit} ns/op (baseline ${baseline} + ${MAX_REGRESSION_PCT}%)"
+    fi
+    if [ "$allocs" -gt "$max_allocs" ]; then
+        fail "$name allocates ${allocs}/op, pinned at ${max_allocs}/op"
+    fi
+}
+
+gate BenchmarkPriceAmericanPut1024 '^BenchmarkPriceAmericanPut1024$' 5
+gate BenchmarkPriceBatchQuad1024/workers=1 '^BenchmarkPriceBatchQuad1024$/^workers=1$' 13
 echo "coldpath_smoke: PASS"
