@@ -203,11 +203,11 @@ func newHostEngine(desc Description, est perf.Estimate, steps int) (*Engine, err
 }
 
 // verifyQuadParity extends the construction-time parity guarantee to
-// the interleaved batch path: the quad sweep — straight and cache-tiled
-// — must reproduce the scalar host lattice bit for bit on the probe
-// chain before the engine is allowed to serve batches through it. Depth
-// is capped like the kernel probe; the quad kernels have no
-// depth-dependent branches, so a few hundred steps exercise every path.
+// the interleaved batch path: the quad sweep must reproduce the scalar
+// host lattice bit for bit on the probe chain before the engine is
+// allowed to serve batches through it. Depth is capped like the kernel
+// probe; the quad kernels have no depth-dependent branches, so a few
+// hundred steps exercise every path.
 func verifyQuadParity(name string, steps int) error {
 	depth := steps
 	if depth > maxProbeSteps {
@@ -225,23 +225,14 @@ func verifyQuadParity(name string, steps int) error {
 		}
 	}
 	qp := ref.NewQuadPlan()
-	for _, tiled := range []bool{false, true} {
-		if err := qp.Load(chain); err != nil {
-			return fmt.Errorf("accel: %s: quad probe: %w", name, err)
-		}
-		var got [4]float64
-		mode := "straight"
-		if tiled {
-			mode = "tiled"
-			got = qp.ExecTiled()
-		} else {
-			got = qp.Exec()
-		}
-		for i := range chain {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				return fmt.Errorf("accel: %s: quad/scalar parity violation (%s sweep, probe depth %d, option %d): quad %v (%#x) vs scalar %v (%#x)",
-					name, mode, depth, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-			}
+	if err := qp.Load(chain); err != nil {
+		return fmt.Errorf("accel: %s: quad probe: %w", name, err)
+	}
+	got := qp.Exec()
+	for i := range chain {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("accel: %s: quad/scalar parity violation (probe depth %d, option %d): quad %v (%#x) vs scalar %v (%#x)",
+				name, depth, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 	return nil

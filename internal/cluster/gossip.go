@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"sync"
@@ -117,9 +116,9 @@ func NodeHandler(s *serve.Server, g *Gossiper) http.Handler {
 			writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST required"})
 			return
 		}
-		var req serve.InvalidateRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+		req, status, err := serve.ReadInvalidate(w, r)
+		if err != nil {
+			writeJSON(w, status, map[string]string{"error": err.Error()})
 			return
 		}
 		gen := req.Generation

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,6 +175,42 @@ func TestGossipSpreadFanout(t *testing.T) {
 	for i, h := range hits {
 		if h == 0 {
 			t.Errorf("peer %d never gossiped to — rotation stuck", i)
+		}
+	}
+}
+
+// TestInvalidateBodyBound: all three invalidate endpoints — a plain
+// node, a gossiping node and the router — share one body parser, so a
+// body of MaxInvalidateBytes+1 gets 413 everywhere instead of a
+// truncated-JSON 400, while a valid body of exactly the bound is still
+// applied.
+func TestInvalidateBodyBound(t *testing.T) {
+	f, _, router := newTestFleet(t, 1, serve.Config{Steps: 16}, Config{Steps: 16})
+	node := httptest.NewServer(f.Server(0).Handler())
+	defer node.Close()
+	gossiping := httptest.NewServer(NodeHandler(f.Server(0), nil))
+	defer gossiping.Close()
+
+	// padded is a valid invalidate body of exactly n bytes.
+	padded := func(n int) []byte {
+		head := `{"origin":"`
+		return []byte(head + strings.Repeat("a", n-len(head)-2) + `"}`)
+	}
+	for _, tc := range []struct{ name, url string }{
+		{"node", node.URL}, {"gossip", gossiping.URL}, {"router", router.URL},
+	} {
+		for _, c := range []struct {
+			size int
+			want int
+		}{{serve.MaxInvalidateBytes + 1, http.StatusRequestEntityTooLarge}, {serve.MaxInvalidateBytes, http.StatusOK}} {
+			resp, err := http.Post(tc.url+"/v1/invalidate", "application/json", bytes.NewReader(padded(c.size)))
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Errorf("%s: %d-byte body answered %d, want %d", tc.name, c.size, resp.StatusCode, c.want)
+			}
 		}
 	}
 }

@@ -8,13 +8,13 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"binopt/internal/obslog"
-	"binopt/internal/option"
 	"binopt/internal/serve"
 	"binopt/internal/slo"
 	"binopt/internal/telemetry"
@@ -42,11 +42,12 @@ type Config struct {
 	// Seed seeds ring placement, so tests replay exact layouts
 	// (default 1).
 	Seed uint64
-	// Hedge, when positive, re-sends a sub-batch to the owner's ring
-	// successor if the owner has not answered within this delay; the
-	// first response wins. Prices are bit-identical across nodes, so a
-	// hedged duplicate is semantically invisible — it only cuts the
-	// tail. Zero disables hedging.
+	// Hedge, when positive, re-sends a sub-request (a price sub-batch
+	// or a scenario group) to the owner's ring successor if the owner
+	// has not answered within this delay; the first response wins.
+	// Answers are bit-identical across nodes, so a hedged duplicate is
+	// semantically invisible — it only cuts the tail. Zero disables
+	// hedging.
 	Hedge time.Duration
 	// MaxAttempts bounds how many distinct nodes a sub-batch may be
 	// tried on before the client sees an error (default 3, clamped to
@@ -331,9 +332,10 @@ func (rt *Router) backupFor(key string, primary *member, excluded map[string]boo
 	return nil
 }
 
-// fwdResult is one sub-batch forward outcome.
-type fwdResult struct {
-	resp    serve.PriceResponse
+// fwdResult is one sub-request's forward outcome; T is the endpoint's
+// decoded reply (serve.PriceResponse or serve.ScenarioResponse).
+type fwdResult[T any] struct {
+	resp    T
 	phases  serve.PhaseBreakdown
 	m       *member
 	status  int // HTTP status, 0 on transport error
@@ -342,23 +344,26 @@ type fwdResult struct {
 	err     error
 }
 
-// retryable reports whether failover to another node can help: transport
-// errors, 5xx, and 429 saturation are worth a successor; other 4xx are
-// the request's own fault and would fail identically everywhere.
-func (r fwdResult) retryable() bool {
-	return r.status == 0 || r.status >= 500 || r.status == http.StatusTooManyRequests
+// retryable reports whether failover to another node can help. Only a
+// 4xx other than 429 is permanent — the request's own fault, which would
+// fail identically everywhere; transport errors, 5xx, 429 saturation and
+// a 200 whose body is undecodable or short are all worth a successor.
+func (r fwdResult[T]) retryable() bool {
+	return r.status < 400 || r.status >= 500 || r.status == http.StatusTooManyRequests
 }
 
-// forwardOnce posts one sub-batch to one member and decodes the reply.
-// traceparent, when non-empty, rides the request so the node parents
-// its spans under the routed request's distributed trace. Outcomes feed
-// the member's breaker: transport errors and 5xx are failures, 200 is a
-// success, 429 is neither (saturation is load, not ill-health).
-func (rt *Router) forwardOnce(ctx context.Context, m *member, body []byte, want int, traceparent string) fwdResult {
+// forward posts one sub-request to one member and decodes the reply,
+// which must answer want items by count. traceparent, when non-empty,
+// rides the request so the node parents its spans under the routed
+// request's distributed trace. Outcomes feed the member's breaker:
+// transport errors, 5xx and undecodable or short replies are failures,
+// 200 is a success, and any other status is neither — 429 is load, not
+// ill-health, and other 4xx are the request's own fault.
+func forward[T any](ctx context.Context, m *member, path string, body []byte, count func(*T) int, want int, traceparent string) fwdResult[T] {
 	t0 := time.Now()
 	m.forwards.Add(1)
-	out := fwdResult{m: m}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.base+"/v1/price", bytes.NewReader(body))
+	out := fwdResult[T]{m: m}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.base+path, bytes.NewReader(body))
 	if err != nil {
 		out.err = err
 		return out
@@ -385,7 +390,7 @@ func (rt *Router) forwardOnce(ctx context.Context, m *member, body []byte, want 
 	out.status = resp.StatusCode
 	if resp.StatusCode != http.StatusOK {
 		m.errs.Add(1)
-		if resp.StatusCode != http.StatusTooManyRequests {
+		if resp.StatusCode >= 500 {
 			m.breaker.OnFailure()
 		}
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
@@ -393,15 +398,13 @@ func (rt *Router) forwardOnce(ctx context.Context, m *member, body []byte, want 
 		return out
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out.resp); err != nil {
-		m.errs.Add(1)
-		m.breaker.OnFailure()
 		out.err = fmt.Errorf("node %s: decoding response: %w", m.name, err)
-		return out
+	} else if got := count(&out.resp); got != want {
+		out.err = fmt.Errorf("node %s: %d results for %d requested", m.name, got, want)
 	}
-	if len(out.resp.Results) != want {
+	if out.err != nil {
 		m.errs.Add(1)
 		m.breaker.OnFailure()
-		out.err = fmt.Errorf("node %s: %d results for %d contracts", m.name, len(out.resp.Results), want)
 		return out
 	}
 	out.elapsed = time.Since(t0)
@@ -414,21 +417,23 @@ func (rt *Router) forwardOnce(ctx context.Context, m *member, body []byte, want 
 	return out
 }
 
-// forwardGroup forwards one sub-batch with optional hedging: the
+// forwardHedged forwards one sub-request with optional hedging: the
 // primary gets the request immediately; if it has neither answered nor
 // failed within the hedge delay, the backup gets a duplicate and the
-// first success wins. A primary that fails fast promotes the backup
-// immediately — no point waiting out a delay the failure already paid.
-func (rt *Router) forwardGroup(ctx context.Context, primary, backup *member, body []byte, want int, traceparent string) fwdResult {
+// first success wins. A primary that fails fast and retryably promotes
+// the backup immediately — no point waiting out a delay the failure
+// already paid. A permanent failure is final: a duplicate would fail
+// identically.
+func forwardHedged[T any](ctx context.Context, rt *Router, primary, backup *member, path string, body []byte, count func(*T) int, want int, traceparent string) fwdResult[T] {
 	if rt.cfg.Hedge <= 0 || backup == nil {
-		return rt.forwardOnce(ctx, primary, body, want, traceparent)
+		return forward(ctx, primary, path, body, count, want, traceparent)
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel() // the loser's request is torn down with the call
-	ch := make(chan fwdResult, 2)
+	ch := make(chan fwdResult[T], 2)
 	launch := func(m *member, hedged bool) {
 		go func() {
-			r := rt.forwardOnce(cctx, m, body, want, traceparent)
+			r := forward(cctx, m, path, body, count, want, traceparent)
 			r.hedged = hedged
 			ch <- r
 		}()
@@ -437,7 +442,7 @@ func (rt *Router) forwardGroup(ctx context.Context, primary, backup *member, bod
 	timer := time.NewTimer(rt.cfg.Hedge)
 	defer timer.Stop()
 	launched, done := 1, 0
-	var lastErr fwdResult
+	var lastErr fwdResult[T]
 	for {
 		select {
 		case r := <-ch:
@@ -447,6 +452,9 @@ func (rt *Router) forwardGroup(ctx context.Context, primary, backup *member, bod
 					rt.metrics.hedgeWins.Add(1)
 					r.m.hedgeWin.Add(1)
 				}
+				return r
+			}
+			if !r.retryable() {
 				return r
 			}
 			lastErr = r
@@ -468,33 +476,51 @@ func (rt *Router) forwardGroup(ctx context.Context, primary, backup *member, bod
 	}
 }
 
-// routeBatch prices one client batch across the fleet: contracts are
-// grouped by ring owner, groups forward concurrently (with hedging),
-// failed groups re-place onto successors with the failed node excluded,
-// and results merge back in input order. Prices are bit-identical on
-// every node, so failover and hedging never change an answer — only
-// who computed it.
+// endpoint is what one routed endpoint supplies to the shared fan-out
+// loop; placement, hedging, failover, breaker booking and forward spans
+// are common to both.
+type endpoint[T any] struct {
+	path string
+	item string   // one item's noun in errors and spans: "contract", "scenario"
+	keys []string // ring placement key per item, in request order
+	// build marshals the sub-request for the items idx; it runs on the
+	// group's forward goroutine. owner is true for the group holding
+	// item 0 — the lowest remaining index until that group succeeds — so
+	// exactly one merged reply per request comes from an owner group.
+	build func(idx []int, owner bool) ([]byte, error)
+	// count reports how many items a decoded reply answers.
+	count func(*T) int
+	// merge folds one successful reply into the response; it runs under
+	// the loop's mutex.
+	merge func(idx []int, owner bool, r fwdResult[T])
+	// failovers counts items re-placed after a node failure; shards,
+	// when set, counts sub-requests forwarded.
+	failovers, shards *atomic.Int64
+}
+
+// fanOut answers one client request across the fleet: items are grouped
+// by the ring owner of their placement key, groups forward concurrently
+// (hedged when Config.Hedge is set), retryably failed groups re-place
+// onto successors with the failed node excluded, and the endpoint merges
+// each reply back in request order. Answers are bit-identical on every
+// node, so failover and hedging never change an answer — only who
+// computed it. A permanent failure (a 4xx other than 429) would fail
+// identically on every successor, so it ends the request at once with
+// the node's status.
 //
-// trace is the request's distributed trace ID ("" untraced); each
+// e carries the request's distributed trace ID ("" untraced); each
 // forward injects a traceparent naming its own pre-allocated forward
 // span as the parent, so node spans nest under the exact forward that
-// carried them. fallbackTP is the header to forward verbatim when the
-// router has no span IDs of its own (tracer disabled, pure proxy).
-func (rt *Router) routeBatch(ctx context.Context, reqID uint64, trace, fallbackTP string, contracts []serve.Contract) ([]serve.Result, serve.PhaseBreakdown, int, error) {
-	var phases serve.PhaseBreakdown
-	opts := make([]option.Option, len(contracts))
-	keys := make([]string, len(contracts))
-	for i, c := range contracts {
-		o, err := c.ToOption()
-		if err != nil {
-			return nil, phases, http.StatusBadRequest, fmt.Errorf("contract %d: %v", i, err)
-		}
-		opts[i] = o
-		keys[i] = serve.KeyFor(o, rt.cfg.Steps).String()
+// carried them. When the router has no span IDs of its own (tracer
+// disabled, pure proxy) the caller's header is forwarded verbatim.
+func fanOut[T any](ctx context.Context, e *edge, ep endpoint[T]) (int, error) {
+	rt := e.rt
+	type group struct {
+		m, backup *member
+		idx       []int
+		owner     bool
 	}
-
-	results := make([]serve.Result, len(contracts))
-	remaining := make([]int, len(contracts))
+	remaining := make([]int, len(ep.keys))
 	for i := range remaining {
 		remaining[i] = i
 	}
@@ -504,91 +530,92 @@ func (rt *Router) routeBatch(ctx context.Context, reqID uint64, trace, fallbackT
 
 	for attempt := 0; attempt < rt.cfg.MaxAttempts && len(remaining) > 0; attempt++ {
 		if attempt > 0 {
-			rt.metrics.failovers.Add(int64(len(remaining)))
+			ep.failovers.Add(int64(len(remaining)))
 		}
-		// Place the remaining contracts. Backups are chosen here, while
-		// placement is still single-threaded — the excluded set mutates
-		// under the forward goroutines' mutex and must not be read
-		// concurrently.
-		groups := make(map[*member][]int)
+		// Place the remaining items while the loop is still
+		// single-threaded: the excluded set mutates under the forward
+		// goroutines' mutex and must not be read concurrently.
+		byMember := make(map[*member][]int)
 		for _, i := range remaining {
-			m := rt.pick(keys[i], excluded)
+			m := rt.pick(ep.keys[i], excluded)
 			if m == nil {
-				return nil, phases, http.StatusBadGateway,
-					fmt.Errorf("no nodes left for contract %d after %d exclusions", i, len(excluded))
+				return http.StatusBadGateway,
+					fmt.Errorf("no nodes left for %s %d after %d exclusions", ep.item, i, len(excluded))
 			}
-			groups[m] = append(groups[m], i)
+			byMember[m] = append(byMember[m], i)
 		}
-		backups := make(map[*member]*member, len(groups))
-		for m, idx := range groups {
-			backups[m] = rt.backupFor(keys[idx[0]], m, excluded)
+		groups := make([]group, 0, len(byMember))
+		for m, idx := range byMember {
+			// remaining is sorted, so idx[0] == 0 marks the group holding
+			// item 0, which stays remaining until its group succeeds.
+			groups = append(groups, group{m, rt.backupFor(ep.keys[idx[0]], m, excluded), idx, idx[0] == 0})
 		}
 
-		// Forward every group concurrently.
 		var (
-			mu     sync.Mutex
-			wg     sync.WaitGroup
-			failed []int
+			mu         sync.Mutex
+			wg         sync.WaitGroup
+			failed     []int
+			permErr    error
+			permStatus int
 		)
-		for m, idx := range groups {
+		for _, g := range groups {
 			wg.Add(1)
-			go func(m *member, idx []int, backup *member) {
+			go func(g group) {
 				defer wg.Done()
-				sub := serve.PriceRequest{Contracts: make([]serve.Contract, len(idx))}
-				for j, i := range idx {
-					sub.Contracts[j] = contracts[i]
-				}
-				body, err := json.Marshal(sub)
+				body, err := ep.build(g.idx, g.owner)
 				if err != nil {
 					mu.Lock()
-					failed = append(failed, idx...)
-					lastErr = err
+					permStatus, permErr = http.StatusInternalServerError, err
 					mu.Unlock()
 					return
 				}
+				if ep.shards != nil {
+					ep.shards.Add(1)
+				}
 				var fwdID uint64
-				tp := fallbackTP
-				if trace != "" {
+				tp := e.fallbackTP
+				if e.trace != "" {
 					if fwdID = rt.tracer.NextID(); fwdID != 0 {
-						tp = telemetry.FormatTraceParent(trace, fwdID)
+						tp = telemetry.FormatTraceParent(e.trace, fwdID)
 					}
 				}
 				t0 := time.Now()
-				r := rt.forwardGroup(ctx, m, backup, body, len(idx), tp)
-				rt.emitForwardSpans(reqID, trace, fwdID, m, r, t0, len(idx), attempt)
+				r := forwardHedged(ctx, rt, g.m, g.backup, ep.path, body, ep.count, len(g.idx), tp)
+				emitForwardSpans(e, fwdID, ep, g.m, r, t0, len(g.idx), attempt)
 				mu.Lock()
 				defer mu.Unlock()
-				if r.err != nil {
+				switch {
+				case r.err == nil:
+					ep.merge(g.idx, g.owner, r)
+				case !r.retryable():
+					// Permanent: surface the node's verdict as ours.
+					permStatus, permErr = r.status, r.err
+				default:
 					lastErr = r.err
 					if r.status == http.StatusTooManyRequests {
 						lastStatus = http.StatusTooManyRequests
 					}
 					excluded[r.m.name] = true
-					if !r.retryable() {
-						// Permanent: surface the node's verdict as ours.
-						lastStatus = r.status
-					}
-					failed = append(failed, idx...)
-					return
+					failed = append(failed, g.idx...)
 				}
-				for j, i := range idx {
-					results[i] = r.resp.Results[j]
-				}
-				phases.Add(r.phases)
-			}(m, idx, backups[m])
+			}(g)
 		}
 		wg.Wait()
+		if permErr != nil {
+			return permStatus, permErr
+		}
+		slices.Sort(failed)
 		remaining = failed
 	}
 
 	if len(remaining) > 0 {
 		rt.metrics.routeErrors.Add(1)
 		if lastErr == nil {
-			lastErr = fmt.Errorf("cluster: %d contracts unplaced", len(remaining))
+			lastErr = fmt.Errorf("cluster: %d %ss unplaced", len(remaining), ep.item)
 		}
-		return nil, phases, lastStatus, lastErr
+		return lastStatus, lastErr
 	}
-	return results, phases, http.StatusOK, nil
+	return http.StatusOK, nil
 }
 
 // emitForwardSpans records one group forward and, when the node
@@ -598,7 +625,8 @@ func (rt *Router) routeBatch(ctx context.Context, reqID uint64, trace, fallbackT
 // pre-allocated ID the traceparent named, so the node's spans really do
 // hang off the span that carried them; the fleet aggregator then pulls
 // the node's own rings in under the same trace ID.
-func (rt *Router) emitForwardSpans(reqID uint64, trace string, fwdID uint64, m *member, r fwdResult, start time.Time, n, attempt int) {
+func emitForwardSpans[T any](e *edge, fwdID uint64, ep endpoint[T], m *member, r fwdResult[T], start time.Time, n, attempt int) {
+	rt := e.rt
 	if !rt.tracer.Enabled() {
 		return
 	}
@@ -606,27 +634,68 @@ func (rt *Router) emitForwardSpans(reqID uint64, trace string, fwdID uint64, m *
 	if r.err != nil {
 		name = "forward-error"
 	}
+	reqID := e.span.ID()
 	rt.tracer.Emit(telemetry.Span{
-		ID: fwdID, Req: reqID, Trace: trace,
+		ID: fwdID, Req: reqID, Trace: e.trace,
 		Name: name, Proc: "router", Thread: "node " + m.name,
 		Start: start, Dur: r.elapsed, Clock: telemetry.Wall,
 		Attrs: map[string]any{
-			"node":      m.name,
-			"contracts": n,
-			"attempt":   attempt + 1,
-			"hedged":    r.hedged,
-			"status":    r.status,
+			"node":        m.name,
+			"path":        ep.path,
+			ep.item + "s": n,
+			"attempt":     attempt + 1,
+			"hedged":      r.hedged,
+			"status":      r.status,
 		},
 	})
 	if r.err == nil && r.phases.Compute > 0 {
 		rt.tracer.Emit(telemetry.Span{
-			Req: reqID, Trace: trace,
+			Req: reqID, Trace: e.trace,
 			Name: "node-compute", Proc: "router", Thread: "node " + m.name,
 			Start: start.Add(r.elapsed - r.phases.Compute - r.phases.Readback),
 			Dur:   r.phases.Compute, Clock: telemetry.Wall,
 			Attrs: map[string]any{"node": m.name, "priced": r.phases.Priced},
 		})
 	}
+}
+
+// routeBatch prices one client batch across the fleet: contracts place
+// by their canonical cache key, so routing identity equals node cache
+// identity, and results merge back in input order with the nodes'
+// phase breakdowns summed.
+func (rt *Router) routeBatch(ctx context.Context, e *edge, contracts []serve.Contract) ([]serve.Result, serve.PhaseBreakdown, int, error) {
+	var phases serve.PhaseBreakdown
+	keys := make([]string, len(contracts))
+	for i, c := range contracts {
+		o, err := c.ToOption()
+		if err != nil {
+			return nil, phases, http.StatusBadRequest, fmt.Errorf("contract %d: %v", i, err)
+		}
+		keys[i] = serve.KeyFor(o, rt.cfg.Steps).String()
+	}
+	results := make([]serve.Result, len(contracts))
+	status, err := fanOut(ctx, e, endpoint[serve.PriceResponse]{
+		path: "/v1/price", item: "contract", keys: keys,
+		build: func(idx []int, _ bool) ([]byte, error) {
+			sub := serve.PriceRequest{Contracts: make([]serve.Contract, len(idx))}
+			for j, i := range idx {
+				sub.Contracts[j] = contracts[i]
+			}
+			return json.Marshal(sub)
+		},
+		count: func(r *serve.PriceResponse) int { return len(r.Results) },
+		merge: func(idx []int, _ bool, r fwdResult[serve.PriceResponse]) {
+			for j, i := range idx {
+				results[i] = r.resp.Results[j]
+			}
+			phases.Add(r.phases)
+		},
+		failovers: &rt.metrics.failovers,
+	})
+	if err != nil {
+		return nil, phases, status, err
+	}
+	return results, phases, status, nil
 }
 
 // Handler returns the router's HTTP API — a superset of the node API,
@@ -690,13 +759,36 @@ func (rt *Router) writeError(w http.ResponseWriter, status int, format string, a
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-func (rt *Router) handlePrice(w http.ResponseWriter, r *http.Request) {
+// edge is one routed request at the fleet edge: what both routed
+// endpoints share before and after the fan-out.
+type edge struct {
+	rt      *Router
+	w       http.ResponseWriter
+	started time.Time
+	// batch selects the SLO class: batch-class requests count toward
+	// availability but are exempt from the interactive latency budget.
+	batch bool
+	// trace is the request's distributed trace ID ("" untraced);
+	// fallbackTP is the caller's traceparent, forwarded verbatim when
+	// the router mints no span IDs of its own.
+	trace, fallbackTP string
+	span              *telemetry.Active
+	log               *slog.Logger
+	body              []byte
+}
+
+// begin runs the prologue both routed endpoints share: POST only, count
+// the request on reqs, adopt an upstream traceparent or mint a trace,
+// open the request span and read the bounded body. When it returns
+// false it has already answered the client; otherwise the caller ends
+// e.span.
+func (rt *Router) begin(w http.ResponseWriter, r *http.Request, reqs *atomic.Int64, batch bool) (*edge, bool) {
 	if r.Method != http.MethodPost {
 		rt.writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+		return nil, false
 	}
-	rt.metrics.requests.Add(1)
-	started := time.Now()
+	reqs.Add(1)
+	e := &edge{rt: rt, w: w, started: time.Now(), batch: batch}
 
 	// Distributed trace identity, mirroring the node handler: adopt an
 	// upstream traceparent when one arrives, mint otherwise. The
@@ -707,70 +799,98 @@ func (rt *Router) handlePrice(w http.ResponseWriter, r *http.Request) {
 	if !fromRemote && rt.tracer.Enabled() {
 		trace = telemetry.NewTraceID()
 	}
-	fallbackTP := ""
+	e.trace = trace
 	if fromRemote {
-		fallbackTP = r.Header.Get("traceparent")
+		e.fallbackTP = r.Header.Get("traceparent")
 	}
-
-	span := rt.tracer.Begin("POST /v1/price", "router", "requests")
-	span.SetReq(span.ID())
-	span.SetTrace(trace)
+	e.span = rt.tracer.Begin("POST "+r.URL.Path, "router", "requests")
+	e.span.SetReq(e.span.ID())
+	e.span.SetTrace(trace)
 	if fromRemote {
-		span.SetAttr("parent_span", fmt.Sprintf("%016x", parent))
+		e.span.SetAttr("parent_span", fmt.Sprintf("%016x", parent))
 	}
-	defer span.End()
-	log := obslog.WithTrace(rt.logger, trace, span.ID())
-
-	// The SLO monitor books what clients experienced at the fleet edge:
-	// routed successes (hedges and failovers already absorbed) and the
-	// failures that survived every attempt. Client faults (4xx) and
-	// backpressure (429) spend no error budget.
-	observe := func(failed bool) { rt.slomon.Observe(time.Since(started), failed) }
+	e.log = obslog.WithTrace(rt.logger, trace, e.span.ID())
 
 	body, status, err := serve.ReadBody(w, r)
 	if err != nil {
+		e.span.End()
 		rt.writeError(w, status, "reading body: %v", err)
+		return nil, false
+	}
+	e.body = body
+	return e, true
+}
+
+// observe books the request's outcome on the router's SLO monitor: what
+// clients experienced at the fleet edge, hedges and failovers already
+// absorbed. Client faults (4xx) and backpressure (429) are never booked,
+// so they spend no error budget.
+func (e *edge) observe(failed bool) {
+	if e.batch {
+		e.rt.slomon.ObserveBatch(failed)
 		return
 	}
-	req, err := serve.ParsePriceRequest(body)
+	e.rt.slomon.Observe(time.Since(e.started), failed)
+}
+
+// fail answers a request the fan-out could not serve: 429 carries
+// Retry-After, and a server-side failure (≥500) spends error budget and
+// logs a warning carrying attrs.
+func (e *edge) fail(status int, err error, attrs ...any) {
+	if status == http.StatusTooManyRequests {
+		e.w.Header().Set("Retry-After", "1")
+	}
+	if status >= 500 {
+		e.observe(true)
+		e.log.Warn("route failed", append(attrs, "status", status, "error", err.Error())...)
+	}
+	e.rt.writeError(e.w, status, "%v", err)
+}
+
+// reply books a success and answers v, naming the request span as the
+// response's traceparent.
+func (e *edge) reply(v any) {
+	e.observe(false)
+	if e.trace != "" && e.span.ID() != 0 {
+		e.w.Header().Set("traceparent", telemetry.FormatTraceParent(e.trace, e.span.ID()))
+	}
+	writeJSON(e.w, http.StatusOK, v)
+}
+
+func (rt *Router) handlePrice(w http.ResponseWriter, r *http.Request) {
+	e, ok := rt.begin(w, r, &rt.metrics.requests, false)
+	if !ok {
+		return
+	}
+	defer e.span.End()
+	req, err := serve.ParsePriceRequest(e.body)
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	span.SetAttr("contracts", len(req.Contracts))
+	e.span.SetAttr("contracts", len(req.Contracts))
 
-	results, phases, status, err := rt.routeBatch(r.Context(), span.ID(), trace, fallbackTP, req.Contracts)
+	results, phases, status, err := rt.routeBatch(r.Context(), e, req.Contracts)
 	if err != nil {
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-		if status >= 500 {
-			observe(true)
-			log.Warn("route failed", "contracts", len(req.Contracts), "status", status, "error", err.Error())
-		}
-		rt.writeError(w, status, "%v", err)
+		e.fail(status, err, "path", r.URL.Path, "contracts", len(req.Contracts))
 		return
 	}
-	observe(false)
 
 	mergeStart := time.Now()
 	rt.metrics.options.Add(int64(len(results)))
-	span.SetAttr("joules", phases.Joules)
-	if trace != "" && span.ID() != 0 {
-		w.Header().Set("traceparent", telemetry.FormatTraceParent(trace, span.ID()))
-	}
+	e.span.SetAttr("joules", phases.Joules)
 	w.Header().Set("Server-Timing", phases.ServerTiming())
-	writeJSON(w, http.StatusOK, serve.PriceResponse{Steps: rt.cfg.Steps, Results: results})
+	e.reply(serve.PriceResponse{Steps: rt.cfg.Steps, Results: results})
 	if rt.tracer.Enabled() {
 		rt.tracer.Emit(telemetry.Span{
-			Req: span.ID(), Trace: trace, Name: "merge", Proc: "router", Thread: "requests",
+			Req: e.span.ID(), Trace: e.trace, Name: "merge", Proc: "router", Thread: "requests",
 			Start: mergeStart, Dur: time.Since(mergeStart), Clock: telemetry.Wall,
 			Attrs: map[string]any{"contracts": len(results)},
 		})
 	}
-	log.Debug("batch routed",
+	e.log.Debug("batch routed",
 		"contracts", len(req.Contracts), "priced", phases.Priced,
-		"joules", phases.Joules, "latency", time.Since(started).Seconds())
+		"joules", phases.Joules, "latency", time.Since(e.started).Seconds())
 }
 
 // handleInvalidate bumps the fleet cache generation and broadcasts the
@@ -782,9 +902,9 @@ func (rt *Router) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req serve.InvalidateRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil && err != io.EOF {
-		rt.writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	req, status, err := serve.ReadInvalidate(w, r)
+	if err != nil {
+		rt.writeError(w, status, "%v", err)
 		return
 	}
 	gen := req.Generation

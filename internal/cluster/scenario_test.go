@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -196,5 +197,89 @@ func TestFleetScenariosBadRequest(t *testing.T) {
 	}
 	if rt.metrics.scenarioShards.Load() != 0 {
 		t.Errorf("bad request was forwarded to %d shards", rt.metrics.scenarioShards.Load())
+	}
+}
+
+// straggler is a router transport under which one member answers
+// /v1/scenarios late: every forward to host waits out delay first,
+// unless the router cancels it (a hedge rival won).
+type straggler struct {
+	host  string
+	delay time.Duration
+}
+
+func (s straggler) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Host == s.host && r.URL.Path == "/v1/scenarios" {
+		select {
+		case <-time.After(s.delay):
+		case <-r.Context().Done():
+			return nil, r.Context().Err()
+		}
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestFleetScenariosHedgedStragglerBitIdentical: scenario fan-out hedges
+// through the same Config.Hedge as price sub-batches. With the Greeks
+// owner straggling, its group's hedged duplicate answers, the grid still
+// equals a solo node bit for bit, and the Greeks are merged exactly
+// once — the hedged fleet books the same evaluations as an unhedged
+// router over the same nodes, so no duplicate reply was merged twice.
+func TestFleetScenariosHedgedStragglerBitIdentical(t *testing.T) {
+	const steps = 32
+	const delay = 3 * time.Second
+	req := serve.ScenarioRequest{
+		Portfolio: scenarioBook(6),
+		Grid: &scenario.GridSpec{
+			Spot: scenario.Axis{From: 0.9, To: 1.1, N: 5},
+			Vol:  scenario.Axis{From: 0.9, To: 1.2, N: 4},
+		},
+		Quantiles: []float64{0.95, 0.99},
+	}
+	_, shocks, _, err := req.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node caches off, so every sub-request is priced and counted.
+	nodeCfg := serve.Config{Steps: steps, CacheSize: -1}
+	want := postScenarios(t, newSoloServer(t, nodeCfg).URL, req)
+
+	// Unhedged baseline over the same members (and so the same layout).
+	f, base, hs := newTestFleet(t, 3, nodeCfg, Config{Steps: steps, Heartbeat: -1})
+	plain := postScenarios(t, hs.URL, req)
+	requireScenarioEqual(t, plain, want)
+
+	// The Greeks ride with scenario 0's group: straggle its owner.
+	owner := base.Ring().Owner(shocks[0].Key())
+	var host string
+	for _, n := range f.Nodes() {
+		if n.Name == owner {
+			host = strings.TrimPrefix(n.BaseURL, "http://")
+		}
+	}
+	rt, err := NewRouter(Config{
+		Nodes: f.Nodes(), Steps: steps, Heartbeat: -1,
+		Hedge:     20 * time.Millisecond,
+		Transport: straggler{host: host, delay: delay},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	hhs := httptest.NewServer(rt.Handler())
+	defer hhs.Close()
+
+	start := time.Now()
+	got := postScenarios(t, hhs.URL, req)
+	if elapsed := time.Since(start); elapsed >= delay {
+		t.Errorf("request took %v — the hedge never cut the straggling owner", elapsed)
+	}
+	requireScenarioEqual(t, got, want)
+	if rt.metrics.hedgeWins.Load() == 0 {
+		t.Error("no hedged scenario sub-request won")
+	}
+	if got.Evaluations != plain.Evaluations {
+		t.Errorf("hedged fleet booked %d evaluations, unhedged %d — a reply was merged twice",
+			got.Evaluations, plain.Evaluations)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // that across rights, styles, depths, precisions and leaf modes.
 //
 // A QuadPlan is single-shot scratch: Load derives the four lanes
-// straight into the working buffers, Exec (or ExecTiled) consumes them.
+// straight into the working buffers, Exec consumes them.
 // Reload before executing again. Not safe for concurrent use; the batch
 // pricer keeps one per worker.
 type QuadPlan struct {
@@ -136,11 +136,9 @@ func (q *QuadPlan) sweepSingle() {
 }
 
 // runDouble reduces the contiguous columns [lo, hi) of one level, each
-// column's up-neighbour sitting four slots ahead in v — the layout
-// shared by the straight sweep, the interior of a tiled strip, and the
-// apron advance. The four lanes are unrolled with constant indices so
-// the compiler eliminates the bounds checks and pins the per-lane
-// coefficients in registers.
+// column's up-neighbour sitting four slots ahead in v. The four lanes
+// are unrolled with constant indices so the compiler eliminates the
+// bounds checks and pins the per-lane coefficients in registers.
 //
 // The explicit float64 conversions around the products pin the
 // two-rounding arithmetic of the scalar reference: the Go spec licenses

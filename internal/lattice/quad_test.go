@@ -44,9 +44,9 @@ func quadEngine(t *testing.T, steps int, single, deviceLeaves bool) *Engine {
 }
 
 // TestQuadScalarBitParity is the central invariant of the quad refactor:
-// the interleaved sweep — straight and tiled — reproduces the scalar
-// reference bit for bit across rights, styles, depths, precisions and
-// leaf-initialisation modes. Under the race detector the two deepest
+// the interleaved sweep reproduces the scalar reference bit for bit
+// across rights, styles, depths, precisions and leaf-initialisation
+// modes. Under the race detector the two deepest
 // trees run a single right/style combination to keep the instrumented
 // sweep affordable; the plain CI pass covers the full table.
 func TestQuadScalarBitParity(t *testing.T) {
@@ -77,20 +77,11 @@ func TestQuadScalarBitParity(t *testing.T) {
 							if err := qp.Load(opts); err != nil {
 								t.Fatal(err)
 							}
-							straight := qp.Exec()
-							if err := qp.Load(opts); err != nil {
-								t.Fatal(err)
-							}
-							tiled := qp.ExecTiled()
-
+							got := qp.Exec()
 							for i := range opts {
-								if math.Float64bits(straight[i]) != math.Float64bits(want[i]) {
-									t.Errorf("lane %d straight: %v (%#x) != scalar %v (%#x)",
-										i, straight[i], math.Float64bits(straight[i]), want[i], math.Float64bits(want[i]))
-								}
-								if math.Float64bits(tiled[i]) != math.Float64bits(want[i]) {
-									t.Errorf("lane %d tiled: %v (%#x) != scalar %v (%#x)",
-										i, tiled[i], math.Float64bits(tiled[i]), want[i], math.Float64bits(want[i]))
+								if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+									t.Errorf("lane %d: %v (%#x) != scalar %v (%#x)",
+										i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 								}
 							}
 						})

@@ -17,9 +17,9 @@
 // The analysis is reachability-based within the package. Roots are the
 // function literals handed to opencl.NewKernel plus any function whose
 // doc comment carries a //binopt:kernel directive — the host-side
-// kernel realisations (the lattice engine's scalar, quad and tiled
-// sweeps) that implement the same arithmetic without flowing through
-// the simulated runtime. Statically-resolved calls to same-package
+// kernel realisations (the lattice engine's scalar and quad sweeps)
+// that implement the same arithmetic without flowing through the
+// simulated runtime. Statically-resolved calls to same-package
 // functions extend the checked set from either kind of root.
 package kerneldet
 

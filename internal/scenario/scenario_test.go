@@ -106,6 +106,10 @@ func TestGridValidation(t *testing.T) {
 		"nan-rate":      {Rate: Axis{From: math.NaN(), To: 0.01, N: 2}},
 		"negative-n":    {Spot: Axis{From: 1, To: 1, N: -1}},
 		"grid-blowup":   {Spot: Axis{From: 0.9, To: 1.1, N: 2048}, Vol: Axis{From: 0.9, To: 1.1, N: 2048}},
+		// One axis alone past the cap must be refused before its values
+		// are allocated; three large axes must not overflow the product.
+		"axis-blowup":      {Spot: Axis{From: 0.9, To: 1.1, N: 1 << 40}},
+		"product-overflow": {Spot: Axis{From: 1, To: 2, N: 1 << 31}, Vol: Axis{From: 1, To: 2, N: 1 << 31}, Rate: Axis{N: 1 << 31}},
 	}
 	for name, g := range cases {
 		if _, err := g.Shocks(); err == nil {

@@ -142,13 +142,20 @@ func (g GridSpec) Shocks() ([]Shock, error) {
 	if err := g.Rate.validate("rate", false); err != nil {
 		return nil, err
 	}
+	// Bound the expansion before allocating anything: one axis count
+	// alone can ask for more memory than the host has, and the product
+	// of three can overflow.
+	total := 1
+	for _, a := range []Axis{g.Spot, g.Vol, g.Rate} {
+		n := max(a.N, 1)
+		if n > MaxGridScenarios/total {
+			return nil, fmt.Errorf("scenario: grid expands past the %d-scenario cap", MaxGridScenarios)
+		}
+		total *= n
+	}
 	spots := g.Spot.values(1)
 	vols := g.Vol.values(1)
 	rates := g.Rate.values(0)
-	total := len(spots) * len(vols) * len(rates)
-	if total > MaxGridScenarios {
-		return nil, fmt.Errorf("scenario: grid expands to %d scenarios, cap is %d", total, MaxGridScenarios)
-	}
 	shocks := make([]Shock, 0, total)
 	for _, sm := range spots {
 		for _, vm := range vols {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -418,14 +419,37 @@ type InvalidateResponse struct {
 	Generation uint64 `json:"generation"`
 }
 
+// MaxInvalidateBytes bounds a POST /v1/invalidate body.
+const MaxInvalidateBytes = 1 << 16
+
+// ReadInvalidate reads and decodes a POST /v1/invalidate body of at most
+// MaxInvalidateBytes; an empty body is the zero request. It is the one
+// parser behind every invalidate endpoint — node, gossiping node and
+// router. On failure it also returns the status to answer with: 413 for
+// a body over the bound, 400 for anything else.
+func ReadInvalidate(w http.ResponseWriter, r *http.Request) (InvalidateRequest, int, error) {
+	var req InvalidateRequest
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxInvalidateBytes))
+	if err != nil {
+		return req, bodyStatus(err), fmt.Errorf("reading body: %w", err)
+	}
+	if len(bytes.TrimSpace(body)) == 0 {
+		return req, 0, nil
+	}
+	if err := json.Unmarshal(body, &req); err != nil {
+		return req, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err)
+	}
+	return req, 0, nil
+}
+
 func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req InvalidateRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		s.writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	req, status, err := ReadInvalidate(w, r)
+	if err != nil {
+		s.writeError(w, status, "%v", err)
 		return
 	}
 	gen := req.Generation

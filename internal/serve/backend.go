@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -324,10 +325,14 @@ func (s *Server) runJob(be *backend, j *job, priceFn func(option.Option) (float6
 }
 
 // settle delivers one priced job: success feeds the breaker, the cache,
-// the metrics and the requester.
+// the metrics and the requester. Non-finite prices are never cached:
+// they indicate an engine fault that should not be pinned into the
+// serving path.
 func (s *Server) settle(be *backend, j *job, price float64) {
 	be.breaker.onSuccess()
-	s.cache.put(j.key, price)
+	if !math.IsNaN(price) && !math.IsInf(price, 0) {
+		s.cache.put(j.key, price)
+	}
 	s.metrics.observeOption(j.computed.Sub(j.enqueued), j.computed.Unix(), be.joules, be.priced, j.trace)
 	be.pending.Add(-1)
 	s.queued.Add(-1)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"container/list"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -79,77 +78,67 @@ func (k Key) String() string {
 	return b.String()
 }
 
-// keyFor is the internal spelling; the exported KeyFor is the one
-// definition shared with the cluster router.
-func keyFor(o option.Option, steps int) Key { return KeyFor(o, steps) }
-
-// resultCache is a fixed-capacity LRU of priced contracts. A pricing
-// service sees the same quote tape repeatedly — the same chain is
-// re-priced every time the curve refreshes — so a warm cache converts the
-// steady-state workload from O(tree) per option to a map lookup, which is
-// how the serving tier sustains the paper's 2000 options/s target on
-// hardware far slower than the modelled FPGA.
-type resultCache struct {
+// lru is a fixed-capacity least-recently-used map, safe for concurrent
+// use. It backs both node caches: priced contracts keyed by Key — a
+// pricing service sees the same quote tape repeatedly, so a warm cache
+// turns the steady state from O(tree) per option into a map lookup —
+// and whole scenario reports keyed by their request digest. A nil *lru
+// is the disabled cache: every get misses, put and flush do nothing.
+type lru[K comparable, V any] struct {
 	mu  sync.Mutex
 	cap int
 	ll  *list.List // front = most recently used
-	m   map[Key]*list.Element
+	m   map[K]*list.Element
 }
 
-type cacheEntry struct {
-	key   Key
-	price float64
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-// newResultCache returns a cache holding up to capacity entries; a
-// capacity <= 0 disables caching (every lookup misses).
-func newResultCache(capacity int) *resultCache {
+// newLRU returns a cache holding up to capacity entries; a capacity
+// <= 0 disables caching (returns nil).
+func newLRU[K comparable, V any](capacity int) *lru[K, V] {
 	if capacity <= 0 {
 		return nil
 	}
-	return &resultCache{
-		cap: capacity,
-		ll:  list.New(),
-		m:   make(map[Key]*list.Element, capacity),
-	}
+	return &lru[K, V]{cap: capacity, ll: list.New(), m: make(map[K]*list.Element, capacity)}
 }
 
-// get returns the cached price and whether it was present, promoting the
+// get returns the cached value and whether it was present, promoting the
 // entry to most recently used.
-func (c *resultCache) get(k Key) (float64, bool) {
+func (c *lru[K, V]) get(k K) (V, bool) {
+	var zero V
 	if c == nil {
-		return 0, false
+		return zero, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[k]
 	if !ok {
-		return 0, false
+		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).price, true
+	return el.Value.(*lruEntry[K, V]).val, true
 }
 
-// put stores a price, evicting the least recently used entry when full.
-// Non-finite prices are never cached: they indicate an engine fault that
-// should not be pinned into the serving path.
-func (c *resultCache) put(k Key, price float64) {
-	if c == nil || math.IsNaN(price) || math.IsInf(price, 0) {
+// put stores a value, evicting the least recently used entry when full.
+func (c *lru[K, V]) put(k K, v V) {
+	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[k]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).price = price
+		el.Value.(*lruEntry[K, V]).val = v
 		return
 	}
-	el := c.ll.PushFront(&cacheEntry{key: k, price: price})
-	c.m[k] = el
+	c.m[k] = c.ll.PushFront(&lruEntry[K, V]{key: k, val: v})
 	if c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*cacheEntry).key)
+		delete(c.m, oldest.Value.(*lruEntry[K, V]).key)
 	}
 }
 
@@ -157,7 +146,7 @@ func (c *resultCache) put(k Key, price float64) {
 // invalidation path calls it when a generation bump lands — a
 // vol-surface update makes every cached price of the old generation
 // suspect, and re-pricing is cheap next to serving a stale quote.
-func (c *resultCache) flush() int {
+func (c *lru[K, V]) flush() int {
 	if c == nil {
 		return 0
 	}
@@ -170,7 +159,7 @@ func (c *resultCache) flush() int {
 }
 
 // len reports the number of cached entries.
-func (c *resultCache) len() int {
+func (c *lru[K, V]) len() int {
 	if c == nil {
 		return 0
 	}

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"binopt/internal/option"
+	"binopt/internal/scenario"
 )
 
 func cacheOption(strike float64) option.Option {
@@ -15,10 +17,10 @@ func cacheOption(strike float64) option.Option {
 }
 
 func TestCacheHitAndEviction(t *testing.T) {
-	c := newResultCache(2)
-	k1 := keyFor(cacheOption(90), 64)
-	k2 := keyFor(cacheOption(100), 64)
-	k3 := keyFor(cacheOption(110), 64)
+	c := newLRU[Key, float64](2)
+	k1 := KeyFor(cacheOption(90), 64)
+	k2 := KeyFor(cacheOption(100), 64)
+	k3 := KeyFor(cacheOption(110), 64)
 
 	c.put(k1, 1.0)
 	c.put(k2, 2.0)
@@ -55,18 +57,18 @@ func TestCacheKeyCanonicalisation(t *testing.T) {
 	b := a
 	b.Rate = math.Copysign(0, -1) // -0.0
 	a.Rate = 0
-	if keyFor(a, 128) != keyFor(b, 128) {
+	if KeyFor(a, 128) != KeyFor(b, 128) {
 		t.Fatal("-0 and +0 rate produced different keys")
 	}
 
 	// Different depth must not share keys.
-	if keyFor(a, 128) == keyFor(a, 256) {
+	if KeyFor(a, 128) == KeyFor(a, 256) {
 		t.Fatal("different tree depths share a cache key")
 	}
 	// Different economics must not share keys.
 	cOpt := a
 	cOpt.Sigma = 0.21
-	if keyFor(a, 128) == keyFor(cOpt, 128) {
+	if KeyFor(a, 128) == KeyFor(cOpt, 128) {
 		t.Fatal("different sigmas share a cache key")
 	}
 }
@@ -119,16 +121,12 @@ func TestKeyForTable(t *testing.T) {
 	if got := KeyFor(base, 128).Steps(); got != 128 {
 		t.Errorf("Steps() = %d, want 128", got)
 	}
-	// The internal spelling must stay the exported definition.
-	if keyFor(base, 64) != KeyFor(base, 64) {
-		t.Error("keyFor and KeyFor diverge")
-	}
 }
 
 func TestCacheFlush(t *testing.T) {
-	c := newResultCache(8)
+	c := newLRU[Key, float64](8)
 	for i := 0; i < 5; i++ {
-		c.put(keyFor(cacheOption(90+float64(i)), 64), float64(i))
+		c.put(KeyFor(cacheOption(90+float64(i)), 64), float64(i))
 	}
 	if n := c.flush(); n != 5 {
 		t.Fatalf("flush evicted %d, want 5", n)
@@ -136,37 +134,71 @@ func TestCacheFlush(t *testing.T) {
 	if c.len() != 0 {
 		t.Fatalf("len after flush = %d, want 0", c.len())
 	}
-	if _, ok := c.get(keyFor(cacheOption(90), 64)); ok {
+	if _, ok := c.get(KeyFor(cacheOption(90), 64)); ok {
 		t.Fatal("entry survived flush")
 	}
 	// Flushed cache must keep working.
-	c.put(keyFor(cacheOption(90), 64), 1.5)
-	if v, ok := c.get(keyFor(cacheOption(90), 64)); !ok || v != 1.5 {
+	c.put(KeyFor(cacheOption(90), 64), 1.5)
+	if v, ok := c.get(KeyFor(cacheOption(90), 64)); !ok || v != 1.5 {
 		t.Fatalf("post-flush put/get = %v,%v", v, ok)
 	}
-	var nilCache *resultCache
+	var nilCache *lru[Key, float64]
 	if nilCache.flush() != 0 {
 		t.Fatal("nil cache flush != 0")
 	}
 }
 
 func TestCacheDisabledAndNonFinite(t *testing.T) {
-	var c *resultCache // capacity <= 0 yields nil
-	if c = newResultCache(0); c != nil {
+	var c *lru[Key, float64] // capacity <= 0 yields nil
+	if c = newLRU[Key, float64](0); c != nil {
 		t.Fatal("capacity 0 should disable the cache")
 	}
-	if _, ok := c.get(keyFor(cacheOption(90), 64)); ok {
+	if _, ok := c.get(KeyFor(cacheOption(90), 64)); ok {
 		t.Fatal("nil cache reported a hit")
 	}
-	c.put(keyFor(cacheOption(90), 64), 1) // must not panic
+	c.put(KeyFor(cacheOption(90), 64), 1) // must not panic
 	if c.len() != 0 {
 		t.Fatal("nil cache has entries")
 	}
 
-	real := newResultCache(4)
-	real.put(keyFor(cacheOption(90), 64), math.NaN())
-	real.put(keyFor(cacheOption(91), 64), math.Inf(1))
-	if real.len() != 0 {
-		t.Fatalf("non-finite prices cached: len %d", real.len())
+	// A kernel that returns non-finite prices delivers them, but the
+	// server must not pin them into the cache.
+	s, err := New(Config{
+		Steps: 16, Backends: stubBackends(1, 8),
+		PriceFunc: func(o option.Option) (float64, error) {
+			if o.Strike == 90 {
+				return math.NaN(), nil
+			}
+			return math.Inf(1), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	if _, err := s.PriceOptions(context.Background(), []option.Option{cacheOption(90), cacheOption(91)}); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.cache.len(); n != 0 {
+		t.Fatalf("non-finite prices cached: len %d", n)
+	}
+}
+
+// TestLRUScenarioReports pins the same LRU over the scenario cache's key
+// and value types: string digests, whole reports, eviction in LRU order.
+func TestLRUScenarioReports(t *testing.T) {
+	c := newLRU[string, scenario.Report](2)
+	c.put("a", scenario.Report{BaseValue: 1})
+	c.put("b", scenario.Report{BaseValue: 2})
+	c.get("a")
+	c.put("c", scenario.Report{BaseValue: 3})
+	if _, ok := c.get("b"); ok {
+		t.Fatal("b survived eviction; LRU order wrong")
+	}
+	if rep, ok := c.get("a"); !ok || rep.BaseValue != 1 {
+		t.Fatalf("a = %+v,%v want base 1", rep, ok)
+	}
+	if n := c.flush(); n != 2 {
+		t.Fatalf("flush evicted %d, want 2", n)
 	}
 }

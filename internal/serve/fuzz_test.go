@@ -1,0 +1,112 @@
+package serve
+
+import (
+	"encoding/json"
+	"testing"
+
+	"binopt/internal/scenario"
+)
+
+// FuzzParsePriceRequest feeds arbitrary bodies to the /v1/price parser
+// the node and the router share. It must never panic, an accepted
+// request is never empty, and every contract ToOption accepts is a
+// valid option that survives the router's re-marshal to a node with its
+// cache and placement key intact.
+func FuzzParsePriceRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"contracts":[{"right":"put","style":"american","spot":100,"strike":105,"rate":0.03,"sigma":0.2,"t":0.5}]}`,
+		`{"right":"CALL","style":"European","spot":1e-300,"strike":1e300,"rate":-0.5,"div":0.01,"sigma":5,"t":30}`,
+		`{"contracts":[{"right":"put","style":"bermudan","spot":1,"strike":1,"sigma":1,"t":1},{"right":"call"}]}`,
+		`{"contracts":[]}`,
+		`{"contracts":null,"right":"put"}`,
+		`[1,2,3]`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := ParsePriceRequest(body)
+		if err != nil {
+			return
+		}
+		if len(req.Contracts) == 0 {
+			t.Fatal("accepted a request with no contracts")
+		}
+		for i, c := range req.Contracts {
+			o, err := c.ToOption()
+			if err != nil {
+				continue
+			}
+			if err := o.Validate(); err != nil {
+				t.Fatalf("contract %d: ToOption accepted an invalid option: %v", i, err)
+			}
+			wire, err := json.Marshal(PriceRequest{Contracts: []Contract{c}})
+			if err != nil {
+				t.Fatalf("contract %d: re-marshal: %v", i, err)
+			}
+			again, err := ParsePriceRequest(wire)
+			if err != nil {
+				t.Fatalf("contract %d: re-parse of %s: %v", i, wire, err)
+			}
+			o2, err := again.Contracts[0].ToOption()
+			if err != nil || KeyFor(o2, 64) != KeyFor(o, 64) {
+				t.Fatalf("contract %d: key changed across the wire: %v", i, err)
+			}
+		}
+	})
+}
+
+// FuzzParseScenarioRequest feeds arbitrary bodies to the /v1/scenarios
+// parser and resolver the node and the router share. Neither may panic
+// or allocate without bound; a resolved request holds at most
+// scenario.MaxGridScenarios valid shocks, quantiles strictly inside
+// (0,1), and positions whose contracts all pass ToOption.
+func FuzzParseScenarioRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"portfolio":[{"contract":{"right":"put","style":"american","spot":100,"strike":105,"rate":0.03,"sigma":0.2,"t":0.5},"quantity":10}],"grid":{"spot":{"from":0.8,"to":1.2,"n":9},"vol":{"from":0.9,"to":1.3,"n":5}},"quantiles":[0.95,0.99]}`,
+		`{"portfolio":[{"contract":{"right":"call","style":"european","spot":50,"strike":40,"sigma":0.3,"t":1},"quantity":-3}],"shocks":[{"label":"crash","spot_mul":0.7,"vol_mul":1.5},{"rate_add":0.01}],"skip_greeks":true}`,
+		`{"portfolio":[],"grid":{"rate":{"from":-0.01,"to":0.01,"n":3}}}`,
+		`{"portfolio":[{"contract":{"right":"put"},"quantity":1}],"shocks":[{}]}`,
+		`{"shocks":[{"spot_mul":0}],"grid":{}}`,
+		`{"grid":{"spot":{"from":1,"to":2,"n":1024},"vol":{"from":1,"to":2,"n":1025}}}`,
+		`{"grid":{"spot":{"from":1,"to":2,"n":-1}},"quantiles":[0,1]}`,
+		`{"shocks":[{}],"quantiles":[0.5,NaN]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := ParseScenarioRequest(body)
+		if err != nil {
+			return
+		}
+		book, shocks, quantiles, err := req.Resolve()
+		if err != nil {
+			return
+		}
+		if len(shocks) > scenario.MaxGridScenarios {
+			t.Fatalf("%d shocks resolved, cap is %d", len(shocks), scenario.MaxGridScenarios)
+		}
+		for i, sh := range shocks {
+			if err := sh.Validate(); err != nil {
+				t.Fatalf("shock %d resolved invalid: %v", i, err)
+			}
+		}
+		for _, q := range quantiles {
+			if !(q > 0 && q < 1) {
+				t.Fatalf("quantile %v resolved outside (0,1)", q)
+			}
+		}
+		if len(book) != len(req.Portfolio) {
+			t.Fatalf("%d positions resolved from %d", len(book), len(req.Portfolio))
+		}
+		for i, p := range req.Portfolio {
+			o, err := p.Contract.ToOption()
+			if err != nil {
+				t.Fatalf("position %d resolved but fails ToOption: %v", i, err)
+			}
+			if o != book[i].Option {
+				t.Fatalf("position %d resolved to %+v, ToOption gives %+v", i, book[i].Option, o)
+			}
+		}
+	})
+}

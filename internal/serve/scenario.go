@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"binopt/internal/lattice"
@@ -200,73 +198,6 @@ func scenarioCacheCapFor(cacheSize int) int {
 		return 0
 	}
 	return scenarioCacheCap
-}
-
-// scenarioCache is a fixed-capacity LRU of complete revaluation
-// reports, flushed by the same market-data generation bumps that flush
-// the per-contract result cache.
-type scenarioCache struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List
-	m   map[string]*list.Element
-}
-
-type scenarioEntry struct {
-	key string
-	rep scenario.Report
-}
-
-func newScenarioCache(capacity int) *scenarioCache {
-	if capacity <= 0 {
-		return nil
-	}
-	return &scenarioCache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element, capacity)}
-}
-
-func (c *scenarioCache) get(k string) (scenario.Report, bool) {
-	if c == nil {
-		return scenario.Report{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[k]
-	if !ok {
-		return scenario.Report{}, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*scenarioEntry).rep, true
-}
-
-func (c *scenarioCache) put(k string, rep scenario.Report) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[k]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*scenarioEntry).rep = rep
-		return
-	}
-	c.m[k] = c.ll.PushFront(&scenarioEntry{key: k, rep: rep})
-	if c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*scenarioEntry).key)
-	}
-}
-
-func (c *scenarioCache) flush() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.ll.Len()
-	c.ll.Init()
-	clear(c.m)
-	return n
 }
 
 // scenarioPricer picks the engine shard a revaluation runs on: the

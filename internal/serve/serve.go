@@ -23,6 +23,7 @@ import (
 	"binopt/internal/lattice"
 	"binopt/internal/obslog"
 	"binopt/internal/option"
+	"binopt/internal/scenario"
 	"binopt/internal/slo"
 	"binopt/internal/telemetry"
 )
@@ -142,8 +143,8 @@ type Server struct {
 	engine  *lattice.Engine
 	priceFn func(option.Option) (float64, error)
 
-	cache     *resultCache
-	scenarios *scenarioCache
+	cache     *lru[Key, float64]
+	scenarios *lru[string, scenario.Report]
 	// scenarioSem bounds concurrent scenario revaluations; acquisition
 	// is non-blocking (a full semaphore is a 429, not a queue).
 	scenarioSem chan struct{}
@@ -188,11 +189,11 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		engine:  eng,
 		metrics: newMetrics(),
-		cache:   newResultCache(cfg.CacheSize),
+		cache:   newLRU[Key, float64](cfg.CacheSize),
 		// The scenario cache shares the contract cache's on/off switch:
 		// a server that must not serve memoised prices must not serve
 		// memoised revaluations either.
-		scenarios:   newScenarioCache(scenarioCacheCapFor(cfg.CacheSize)),
+		scenarios:   newLRU[string, scenario.Report](scenarioCacheCapFor(cfg.CacheSize)),
 		scenarioSem: make(chan struct{}, cfg.ScenarioConcurrency),
 		tracer:      cfg.Tracer,
 		logger:      obslog.Or(cfg.Logger),
@@ -396,7 +397,7 @@ func (s *Server) PriceOptionsTimed(ctx context.Context, opts []option.Option) ([
 	var jobIdx []int
 	now := time.Now()
 	for i, o := range opts {
-		key := keyFor(o, s.cfg.Steps)
+		key := KeyFor(o, s.cfg.Steps)
 		if price, ok := s.cache.get(key); ok {
 			s.metrics.observeHit()
 			results[i] = Result{Price: price, Cached: true, Backend: "cache"}
