@@ -372,11 +372,11 @@ func (e *Engine) priceBatch(opts []option.Option, workers int) ([]float64, float
 }
 
 // PriceAndGreeksBatch prices a batch with full sensitivities through
-// the host's quad-batched Greeks path and accounts the modelled
-// substrate activity of the five contract evaluations each position
-// costs: one scalar retained sweep plus one interleaved quad group
-// carrying the four vega/rho bump contracts. The fault hook is
-// consulted once per batch, like PriceBatch.
+// the host's quad-lane Greeks path: every position's base, bump and —
+// off CRR — theta lanes pack into quad groups like any PriceBatch, so
+// the batch books through the same accountBatch with the number of
+// lanes the host priced (GreeksLanes). The fault hook is consulted once
+// per batch, like PriceBatch.
 func (e *Engine) PriceAndGreeksBatch(opts []option.Option, workers int) ([]float64, []lattice.Greeks, error) {
 	if err := e.faultCheck(); err != nil {
 		return nil, nil, err
@@ -385,21 +385,13 @@ func (e *Engine) PriceAndGreeksBatch(opts []option.Option, workers int) ([]float
 	if err != nil {
 		return nil, nil, err
 	}
-	e.accountGreeksBatch(len(opts))
+	e.accountBatch(e.GreeksLanes(len(opts)))
 	return prices, greeks, nil
 }
 
-// accountGreeksBatch books n positions evaluated with sensitivities:
-// per position one scalar sweep plus one quad group, five contract
-// evaluations on the modelled device clock and energy ledger.
-func (e *Engine) accountGreeksBatch(n int) {
-	var add opencl.Counters
-	for i := 0; i < n; i++ {
-		add.Add(e.perOption)
-		add.Add(e.perQuad)
-	}
-	e.book(add, 5*n)
-}
+// GreeksLanes reports how many contract evaluations PriceAndGreeksBatch
+// prices and books for the given number of positions.
+func (e *Engine) GreeksLanes(positions int) int { return e.host.GreeksLanes(positions) }
 
 // accountBatch books n options priced through the quad-interleaved
 // batch path: every group of up to four options accumulates perQuad —

@@ -139,6 +139,46 @@ func TestQuadBatchAccounting(t *testing.T) {
 	}
 }
 
+// TestPriceAndGreeksBatchBooksLanes pins the Greeks accounting to the
+// batch rule: a book of n CRR positions is 5n lanes, booked as 5n
+// priced options and one perQuad per quad group the lanes fill.
+func TestPriceAndGreeksBatchBooksLanes(t *testing.T) {
+	eng, err := Get("fpga-ivb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := eng.NewEngine(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := probeChain()
+	for _, n := range []int{1, 3, 4, 7} {
+		book := make([]option.Option, n)
+		for i := range book {
+			book[i] = chain[i%len(chain)]
+			book[i].Strike += float64(i)
+		}
+		before, pricedBefore := e.Counters(), e.PricedOptions()
+		if _, _, err := e.PriceAndGreeksBatch(book, 2); err != nil {
+			t.Fatal(err)
+		}
+		lanes := e.GreeksLanes(n)
+		if lanes != 5*n {
+			t.Fatalf("CRR book of %d: %d lanes, want %d", n, lanes, 5*n)
+		}
+		if priced := e.PricedOptions() - pricedBefore; priced != int64(lanes) {
+			t.Errorf("book of %d booked %d options, want %d lanes", n, priced, lanes)
+		}
+		want := before
+		for g := 0; g < quadGroups(lanes); g++ {
+			want.Add(e.perQuad)
+		}
+		if got := e.Counters(); got != want {
+			t.Errorf("book of %d booked %+v, want %d quad group(s) %+v", n, got, quadGroups(lanes), want)
+		}
+	}
+}
+
 // TestEngineCountersScaleWithDepth: the modelled per-option arithmetic
 // must grow roughly quadratically with the serving depth even though the
 // probe depth is capped.

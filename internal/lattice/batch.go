@@ -35,8 +35,29 @@ func (e *Engine) PriceBatch(opts []option.Option, workers int) ([]float64, error
 // (attempted), which the early-stop regression test pins.
 func (e *Engine) priceBatch(opts []option.Option, workers int) ([]float64, int64, error) {
 	out := make([]float64, len(opts))
+	priced, lane, err := e.dispatchQuads(opts, workers, func(lo int, q *QuadPlan) {
+		for i := 0; i < q.lanes; i++ {
+			out[lo+i] = q.levels[i][0]
+		}
+	})
+	if err != nil {
+		return nil, priced, fmt.Errorf("lattice: option %d: %w", lane, err)
+	}
+	return out, priced, nil
+}
+
+// dispatchQuads is the lattice's one quad dispatcher, shared by
+// PriceBatch and PriceAndGreeksBatch: it packs opts four at a time into
+// quad groups, sweeps each on a worker's reusable QuadPlan, and calls
+// done with the group's first index and the swept plan. done may read
+// lanes [0, q.lanes) of the plan and must write only the entries of
+// its own group; it runs on the worker goroutines.
+//
+// It returns the number of groups priced (attempted) and, on failure,
+// the index within opts of the first failing option with its error.
+func (e *Engine) dispatchQuads(opts []option.Option, workers int, done func(lo int, q *QuadPlan)) (int64, int, error) {
 	if len(opts) == 0 {
-		return out, 0, nil
+		return 0, 0, nil
 	}
 	groups := (len(opts) + 3) / 4
 	if workers <= 0 {
@@ -46,44 +67,43 @@ func (e *Engine) priceBatch(opts []option.Option, workers int) ([]float64, int64
 		workers = groups
 	}
 
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		failed   atomic.Bool
-		priced   atomic.Int64
-	)
-	stop := make(chan struct{})
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			failed.Store(true)
-			close(stop)
-		}
-		mu.Unlock()
+	// One state value, shared by every worker, keeps a dispatch to a
+	// single heap allocation for its bookkeeping.
+	var st struct {
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		err    error // first failure, and the index of its option
+		lane   int
+		failed atomic.Bool
+		priced atomic.Int64
 	}
-
+	stop := make(chan struct{})
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		st.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer st.wg.Done()
 			qp := e.NewQuadPlan()
 			for g := range next {
-				if failed.Load() {
+				if st.failed.Load() {
 					continue // drain doomed work without pricing it
 				}
-				priced.Add(1)
+				st.priced.Add(1)
 				lo := g * 4
 				hi := min(lo+4, len(opts))
 				lane, err := qp.load(opts[lo:hi])
 				if err != nil {
-					fail(fmt.Errorf("lattice: option %d: %w", lo+lane, err))
+					st.mu.Lock()
+					if st.err == nil {
+						st.err, st.lane = err, lo+lane
+						st.failed.Store(true)
+						close(stop)
+					}
+					st.mu.Unlock()
 					continue
 				}
-				res := qp.Exec()
-				copy(out[lo:hi], res[:hi-lo])
+				qp.Exec()
+				done(lo, qp)
 			}
 		}()
 	}
@@ -97,9 +117,6 @@ feed:
 		}
 	}
 	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, priced.Load(), firstErr
-	}
-	return out, priced.Load(), nil
+	st.wg.Wait()
+	return st.priced.Load(), st.lane, st.err
 }

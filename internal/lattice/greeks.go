@@ -18,6 +18,24 @@ type Greeks struct {
 	Rho   float64
 }
 
+// The central-difference steps of the vega and rho bumps.
+const hSigma, hRate = 1e-3, 1e-4
+
+// laneNames label a position's Greeks lanes in lane order — the base
+// contract, then the bumps appendBumps adds — for error messages.
+var laneNames = [...]string{"base", "vega-up bump", "vega-down bump", "rho-up bump", "rho-down bump", "theta re-sweep"}
+
+// GreeksLanes reports how many contract evaluations the Greeks of
+// `positions` contracts cost on this engine: per position the base
+// sweep and the four vega/rho bumps, plus — off CRR, where theta cannot
+// be read from the tree — a re-sweep at T−2dt.
+func (e *Engine) GreeksLanes(positions int) int {
+	if e.param == option.CRR {
+		return 5 * positions
+	}
+	return 6 * positions
+}
+
 // PriceAndGreeks returns the option value and its sensitivities. Theta
 // from the tree requires the CRR parameterisation (it relies on the level-2
 // middle node recombining to the spot); other parameterisations get theta
@@ -37,9 +55,40 @@ func (e *Engine) PriceAndGreeks(o option.Option) (float64, Greeks, error) {
 		return 0, Greeks{}, err
 	}
 	lp := p.Params()
-	price, kept := p.ExecRetain(3)
-	v0, v1, v2 := kept[0], kept[1], kept[2]
+	price, kept := p.ExecRetain(retainedLevels)
+	var buf [len(laneNames) - 1]option.Option
+	var bumps [len(laneNames) - 1]float64
+	for i, b := range e.appendBumps(buf[:0], o, lp) {
+		if err := p.Reset(b); err != nil {
+			return 0, Greeks{}, fmt.Errorf("%s: %w", laneNames[i+1], err)
+		}
+		bumps[i] = p.Exec()
+	}
+	return price, e.formGreeks(o, lp, kept[0], kept[1], kept[2], bumps[:]), nil
+}
 
+// appendBumps appends o's bump contracts to dst in lane order: σ+h,
+// σ−h, r+h, r−h and, off CRR, the theta contract at T−2dt.
+func (e *Engine) appendBumps(dst []option.Option, o option.Option, lp option.LatticeParams) []option.Option {
+	vu, vd, ru, rd := o, o, o, o
+	vu.Sigma += hSigma
+	vd.Sigma -= hSigma
+	ru.Rate += hRate
+	rd.Rate -= hRate
+	dst = append(dst, vu, vd, ru, rd)
+	if e.param != option.CRR {
+		th := o
+		th.T -= 2 * lp.Dt
+		dst = append(dst, th)
+	}
+	return dst
+}
+
+// formGreeks forms the sensitivities from a contract's first three tree
+// levels (v0, v1, v2) and its bump prices in appendBumps order. The
+// scalar reference and the batch path both call it, so their quotients
+// agree expression for expression.
+func (e *Engine) formGreeks(o option.Option, lp option.LatticeParams, v0, v1, v2, bumps []float64) Greeks {
 	s10 := o.Spot * lp.D
 	s11 := o.Spot * lp.U
 	s20 := o.Spot * lp.D * lp.D
@@ -57,40 +106,9 @@ func (e *Engine) PriceAndGreeks(o option.Option) (float64, Greeks, error) {
 		// two steps later at the same spot.
 		g.Theta = (v2[1] - v0[0]) / (2 * lp.Dt)
 	} else {
-		bumped := o
-		bumped.T -= 2 * lp.Dt
-		if err := p.Reset(bumped); err != nil {
-			return 0, Greeks{}, err
-		}
-		g.Theta = (p.Exec() - price) / (2 * lp.Dt)
+		g.Theta = (bumps[4] - v0[0]) / (2 * lp.Dt)
 	}
-
-	// Vega and rho by central bump-and-reprice on the shared plan.
-	const hSigma, hRate = 1e-3, 1e-4
-	g.Vega, err = centralDiff(p, o, hSigma, func(x *option.Option, d float64) { x.Sigma += d })
-	if err != nil {
-		return 0, Greeks{}, err
-	}
-	g.Rho, err = centralDiff(p, o, hRate, func(x *option.Option, d float64) { x.Rate += d })
-	if err != nil {
-		return 0, Greeks{}, err
-	}
-	return price, g, nil
-}
-
-// centralDiff evaluates (V(o+h) - V(o-h)) / 2h on the shared plan; each
-// bump is a Reset, not a fresh lattice.
-func centralDiff(p *Plan, o option.Option, h float64, mutate func(*option.Option, float64)) (float64, error) {
-	up, dn := o, o
-	mutate(&up, h)
-	mutate(&dn, -h)
-	if err := p.Reset(up); err != nil {
-		return 0, err
-	}
-	vu := p.Exec()
-	if err := p.Reset(dn); err != nil {
-		return 0, err
-	}
-	vd := p.Exec()
-	return (vu - vd) / (2 * h), nil
+	g.Vega = (bumps[0] - bumps[1]) / (2 * hSigma)
+	g.Rho = (bumps[2] - bumps[3]) / (2 * hRate)
+	return g
 }

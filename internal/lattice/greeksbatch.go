@@ -2,9 +2,6 @@ package lattice
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"binopt/internal/option"
 )
@@ -14,30 +11,33 @@ import (
 // workers limits the number of goroutines; workers <= 0 uses
 // GOMAXPROCS.
 //
-// Each option costs one scalar retained sweep (price, delta, gamma and
-// — under CRR — theta straight from the first tree levels) plus ONE
-// quad-interleaved sweep carrying all four bump contracts: vega up,
-// vega down, rho up, rho down share a single QuadPlan pass instead of
-// four scalar re-executions. That turns the five scalar sweeps of
-// PriceAndGreeks into roughly 1.6 sweep-equivalents per position, which
-// is how the quad speedup reaches book revaluation. Every worker owns
-// one reusable scalar Plan and one QuadPlan, so a steady batch
-// allocates only the retained levels per option.
+// The whole pass runs on quad lanes, in three steps:
 //
-// Results are bit-identical to calling PriceAndGreeks per option: the
-// quad lanes run the scalar reference's exact operation sequence, and
-// the finite-difference quotients are formed from the same values in
-// the same order. The parity sweep in greeksbatch_test.go pins that.
+//  1. Expand: each position becomes GreeksLanes(1) lanes — its base
+//     contract, σ±h and r±h, plus a T−2dt lane off CRR — and the lanes
+//     of all positions pack back to back, so twelve CRR positions make
+//     60 lanes, i.e. 15 full quad groups.
+//  2. Sweep: the lanes run through the quad dispatcher PriceBatch uses.
+//     Each sweep leaves levels 0–2 of every lane on its QuadPlan.
+//  3. Form: delta, gamma and CRR theta come from the base lane's
+//     retained levels, vega, rho and off-CRR theta from the bump lanes'
+//     prices, through the same formGreeks as PriceAndGreeks.
 //
-// On the first error the dispatcher stops handing out new options and
-// the error names the failing contract, not just its index.
+// Results are bit-identical to calling PriceAndGreeks per option: every
+// lane runs the scalar reference's exact operation sequence, and the
+// quotients are the same expressions over the same values. The parity
+// sweep in greeksbatch_test.go pins that.
+//
+// An invalid position fails before any sweep; a failing bump lane stops
+// the dispatcher like any PriceBatch failure. Either error names the
+// position and its contract, never a raw lane.
 func (e *Engine) PriceAndGreeksBatch(opts []option.Option, workers int) ([]float64, []Greeks, error) {
 	out, gs, _, err := e.priceAndGreeksBatch(opts, workers)
 	return out, gs, err
 }
 
-// priceAndGreeksBatch additionally reports how many options were
-// actually evaluated, which the early-stop regression test pins.
+// priceAndGreeksBatch additionally reports how many quad groups were
+// priced, which the early-stop regression test pins.
 func (e *Engine) priceAndGreeksBatch(opts []option.Option, workers int) ([]float64, []Greeks, int64, error) {
 	out := make([]float64, len(opts))
 	gs := make([]Greeks, len(opts))
@@ -47,133 +47,37 @@ func (e *Engine) priceAndGreeksBatch(opts []option.Option, workers int) ([]float
 	if e.steps < 2 {
 		return nil, nil, 0, fmt.Errorf("lattice: greeks need at least 2 steps, got %d", e.steps)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(opts) {
-		workers = len(opts)
-	}
 
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		firstErr  error
-		failed    atomic.Bool
-		evaluated atomic.Int64
-	)
-	stop := make(chan struct{})
-	fail := func(i int, err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = fmt.Errorf("lattice: option %d (%v): %w", i, opts[i], err)
-			failed.Store(true)
-			close(stop)
+	per := e.GreeksLanes(1)
+	lps := make([]option.LatticeParams, len(opts))
+	lanes := make([]option.Option, 0, per*len(opts))
+	for i, o := range opts {
+		lp, err := option.NewLatticeParams(o, e.steps, e.param)
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("lattice: option %d (%v): %w", i, o, err)
 		}
-		mu.Unlock()
+		lps[i] = lp
+		lanes = e.appendBumps(append(lanes, o), o, lp)
 	}
 
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sp *Plan
-			var qp *QuadPlan
-			for i := range next {
-				if failed.Load() {
-					continue // drain doomed work without pricing it
-				}
-				evaluated.Add(1)
-				if qp == nil {
-					qp = e.NewQuadPlan()
-				}
-				price, g, err := e.greeksWithScratch(&sp, qp, opts[i])
-				if err != nil {
-					fail(i, err)
-					continue
-				}
-				out[i] = price
-				gs[i] = g
-			}
-		}()
-	}
-
-feed:
-	for i := range opts {
-		select {
-		case next <- i:
-		case <-stop:
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, evaluated.Load(), firstErr
-	}
-	return out, gs, evaluated.Load(), nil
-}
-
-// greeksWithScratch is one position's evaluation on a worker's reusable
-// scratch: a retained scalar sweep for the level-derived sensitivities,
-// then the four vega/rho bump contracts through one quad sweep. The
-// arithmetic mirrors PriceAndGreeks expression for expression so the
-// two paths agree bit-for-bit.
-func (e *Engine) greeksWithScratch(sp **Plan, qp *QuadPlan, o option.Option) (float64, Greeks, error) {
-	var err error
-	if *sp == nil {
-		*sp, err = e.NewPlan(o)
-	} else {
-		err = (*sp).Reset(o)
-	}
+	levels := make([][retainedNodes]float64, len(lanes))
+	priced, lane, err := e.dispatchQuads(lanes, workers, func(lo int, q *QuadPlan) {
+		copy(levels[lo:lo+q.lanes], q.levels[:q.lanes])
+	})
 	if err != nil {
-		return 0, Greeks{}, err
+		i := lane / per
+		return nil, nil, priced, fmt.Errorf("lattice: option %d (%v): %s lane: %w", i, opts[i], laneNames[lane%per], err)
 	}
-	p := *sp
-	lp := p.Params()
-	price, kept := p.ExecRetain(3)
-	v0, v1, v2 := kept[0], kept[1], kept[2]
 
-	s10 := o.Spot * lp.D
-	s11 := o.Spot * lp.U
-	s20 := o.Spot * lp.D * lp.D
-	s21 := o.Spot * lp.U * lp.D
-	s22 := o.Spot * lp.U * lp.U
-
-	var g Greeks
-	g.Delta = (v1[1] - v1[0]) / (s11 - s10)
-	dUp := (v2[2] - v2[1]) / (s22 - s21)
-	dDn := (v2[1] - v2[0]) / (s21 - s20)
-	g.Gamma = (dUp - dDn) / (0.5 * (s22 - s20))
-
-	if e.param == option.CRR {
-		// S(2,1) == S0 exactly under CRR, so V(2,1) is the option value
-		// two steps later at the same spot.
-		g.Theta = (v2[1] - v0[0]) / (2 * lp.Dt)
-	} else {
-		bumped := o
-		bumped.T -= 2 * lp.Dt
-		if err := p.Reset(bumped); err != nil {
-			return 0, Greeks{}, err
+	var bumps [len(laneNames) - 1]float64
+	for i, o := range opts {
+		lv := levels[i*per : (i+1)*per]
+		for j := range lv[1:] {
+			bumps[j] = lv[j+1][0]
 		}
-		g.Theta = (p.Exec() - price) / (2 * lp.Dt)
+		base := lv[0][:]
+		out[i] = base[0]
+		gs[i] = e.formGreeks(o, lps[i], base[0:1], base[1:3], base[3:6], bumps[:per-1])
 	}
-
-	// The four central-difference bump contracts ride one interleaved
-	// sweep; each lane is bit-identical to the scalar Reset+Exec it
-	// replaces, so the quotients match centralDiff exactly.
-	const hSigma, hRate = 1e-3, 1e-4
-	vu, vd, ru, rd := o, o, o, o
-	vu.Sigma += hSigma
-	vd.Sigma -= hSigma
-	ru.Rate += hRate
-	rd.Rate -= hRate
-	lane, err := qp.load([]option.Option{vu, vd, ru, rd})
-	if err != nil {
-		return 0, Greeks{}, fmt.Errorf("greeks bump lane %d: %w", lane, err)
-	}
-	res := qp.Exec()
-	g.Vega = (res[0] - res[1]) / (2 * hSigma)
-	g.Rho = (res[2] - res[3]) / (2 * hRate)
-	return price, g, nil
+	return out, gs, priced, nil
 }

@@ -128,6 +128,10 @@ func (p *Plan) ExecRetain(retain int) (float64, [][]float64) {
 	if retain > 0 {
 		kept = make([][]float64, retain)
 	}
+	if n < retain {
+		// The leaf level is itself one of the retained ones.
+		kept[n] = append([]float64(nil), v[:n+1]...)
+	}
 
 	right := p.opt.Right
 	pu, pd, invD, strike := p.pu, p.pd, p.invD, p.strike

@@ -16,6 +16,11 @@ import (
 // bit-identical to Plan.Exec — the parity sweep in quad_test.go pins
 // that across rights, styles, depths, precisions and leaf modes.
 //
+// The sweep also leaves every lane's node values at time levels 0–2 in
+// a fixed array on the plan, bit-identical to Plan.ExecRetain's: the
+// values the Greeks read delta, gamma and CRR theta from, so a base
+// contract needs no scalar retained sweep of its own.
+//
 // A QuadPlan is single-shot scratch: Load derives the four lanes
 // straight into the working buffers, Exec consumes them.
 // Reload before executing again. Not safe for concurrent use; the batch
@@ -34,7 +39,18 @@ type QuadPlan struct {
 	// comparisons read.
 	steps  []float64
 	ladder []float64
+
+	// levels holds each lane's retained levels after Exec, packed level
+	// by level: V(0,0), V(1,0), V(1,1), V(2,0), V(2,1), V(2,2).
+	levels [4][retainedNodes]float64
 }
+
+// retainedLevels is how many time levels a sweep leaves on the plan
+// (0–2, what the Greeks read); retainedNodes is their node count.
+const (
+	retainedLevels = 3
+	retainedNodes  = retainedLevels * (retainedLevels + 1) / 2
+)
 
 // NewQuadPlan allocates quad scratch for the engine's depth.
 func (e *Engine) NewQuadPlan() *QuadPlan {
@@ -105,6 +121,9 @@ func (q *QuadPlan) load(opts []option.Option) (int, error) {
 // Exec runs the straight interleaved sweep and returns the four lane
 // values (entries past the loaded lane count mirror lane 0).
 func (q *QuadPlan) Exec() [4]float64 {
+	if q.n < retainedLevels {
+		q.retain(q.n) // the leaf level is one of the retained ones
+	}
 	if q.eng.single {
 		q.sweepSingle()
 	} else {
@@ -115,6 +134,17 @@ func (q *QuadPlan) Exec() [4]float64 {
 	return out
 }
 
+// retain copies level t (t < retainedLevels) of every lane out of the
+// interleaved buffer into levels.
+func (q *QuadPlan) retain(t int) {
+	off := t * (t + 1) / 2
+	for k := 0; k <= t; k++ {
+		for i := 0; i < 4; i++ {
+			q.levels[i][off+k] = q.steps[k*4+i]
+		}
+	}
+}
+
 // sweepDouble is the double-precision interleaved backward sweep: each
 // level is one contiguous run over columns [0, t].
 //
@@ -122,6 +152,9 @@ func (q *QuadPlan) Exec() [4]float64 {
 func (q *QuadPlan) sweepDouble() {
 	for t := q.n - 1; t >= 0; t-- {
 		q.runDouble(q.steps, q.ladder, 0, t+1)
+		if t < retainedLevels {
+			q.retain(t)
+		}
 	}
 }
 
@@ -132,6 +165,9 @@ func (q *QuadPlan) sweepDouble() {
 func (q *QuadPlan) sweepSingle() {
 	for t := q.n - 1; t >= 0; t-- {
 		q.runSingle(q.steps, q.ladder, 0, t+1)
+		if t < retainedLevels {
+			q.retain(t)
+		}
 	}
 }
 

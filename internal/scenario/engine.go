@@ -17,11 +17,13 @@ type Pricer interface {
 }
 
 // GreeksPricer additionally prices with full sensitivities through the
-// quad-batched Greeks path. When the engine's Pricer implements it, a
-// revaluation report carries the book's net Greeks.
+// quad-lane Greeks path, and reports how many contract evaluations that
+// costs. When the engine's Pricer implements it, a revaluation report
+// carries the book's net Greeks.
 type GreeksPricer interface {
 	Pricer
 	PriceAndGreeksBatch(opts []option.Option, workers int) ([]float64, []lattice.Greeks, error)
+	GreeksLanes(positions int) int
 }
 
 // Position is a signed holding of one contract (negative quantity =
@@ -57,7 +59,8 @@ type ScenarioValue struct {
 // Report is the aggregated revaluation: base value, net Greeks,
 // per-scenario values and P&L, and the risk quantiles over the P&L
 // distribution. Evaluations counts contract evaluations on the pricing
-// substrate (a Greeks position books its five sweeps).
+// substrate (a Greeks position books every lane the pricer reports:
+// five under CRR, six otherwise).
 type Report struct {
 	BaseValue   float64         `json:"base_value"`
 	Greeks      lattice.Greeks  `json:"greeks"`
@@ -170,7 +173,7 @@ func (e *Engine) revalueBook(req Request, rep *Report) error {
 			rep.Greeks.Rho += q * greeks[i].Rho
 		}
 		rep.HasGreeks = true
-		rep.Evaluations += 5 * int64(len(book))
+		rep.Evaluations += int64(gp.GreeksLanes(len(book)))
 	} else {
 		prices, err := e.pricer.PriceBatch(baseOpts, e.workers)
 		if err != nil {

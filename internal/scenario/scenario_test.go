@@ -204,7 +204,7 @@ func TestRevalueChunkingInvariant(t *testing.T) {
 	}
 }
 
-// TestRevalueGreeks pins the net-Greeks pass against the quad-batched
+// TestRevalueGreeks pins the net-Greeks pass against the quad-lane
 // Greeks reference and the SkipGreeks switch.
 func TestRevalueGreeks(t *testing.T) {
 	le := mustEngine(t, 64)
@@ -247,6 +247,30 @@ func TestRevalueGreeks(t *testing.T) {
 	for s := range rep.Scenarios {
 		if skipped.Scenarios[s] != rep.Scenarios[s] {
 			t.Fatalf("SkipGreeks changed scenario %d", s)
+		}
+	}
+}
+
+// TestRevalueEvaluationsFollowGreeksLanes pins the evaluation count to
+// the lanes the pricer actually sweeps: five per Greeks position under
+// CRR, six under Jarrow–Rudd, whose theta needs its own re-sweep, plus
+// one per shocked contract.
+func TestRevalueEvaluationsFollowGreeksLanes(t *testing.T) {
+	book := testBook(7)
+	shocks, _ := GridSpec{Spot: Axis{From: 0.9, To: 1.1, N: 3}}.Shocks()
+	for _, c := range []struct {
+		e       *lattice.Engine
+		perBase int
+	}{
+		{mustEngine(t, 32), 5},
+		{mustEngine(t, 32).WithParameterisation(option.JarrowRudd), 6},
+	} {
+		rep, err := New(c.e, 2).Revalue(Request{Book: book, Shocks: shocks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64((c.perBase + len(shocks)) * len(book)); rep.Evaluations != want {
+			t.Errorf("%d lanes per position: evaluations %d, want %d", c.perBase, rep.Evaluations, want)
 		}
 	}
 }

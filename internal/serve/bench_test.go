@@ -175,3 +175,40 @@ func BenchmarkPriceBatchQuad1024(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPriceAndGreeksBatch1024 is the Greeks pass of a scenario
+// request at the paper's evaluation depth: a 12-position CRR book on one
+// worker, whose 60 base and bump lanes pack into 15 full quad groups.
+// scripts/coldpath_smoke.sh gates its allocs/op, so the pass cannot
+// fall back to per-position scalar sweeps (each of which allocates its
+// plan and retained levels) unnoticed.
+func BenchmarkPriceAndGreeksBatch1024(b *testing.B) {
+	eng, err := lattice.NewEngine(1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	book := make([]option.Option, 12)
+	for i := range book {
+		book[i] = option.Option{
+			Right: option.Put, Style: option.American,
+			Spot: 100, Strike: 85 + 2.5*float64(i),
+			Rate: 0.03, Sigma: 0.2 + 0.01*float64(i%4), T: 0.5,
+		}
+		if i%3 == 2 {
+			book[i].Right = option.Call
+		}
+	}
+	// One untimed call first: the engine's setup and the runtime's first
+	// worker goroutine then stay out of allocs/op, whatever b.N is.
+	if _, _, err := eng.PriceAndGreeksBatch(book, 1); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := eng.PriceAndGreeksBatch(book, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N*len(book))*1e3, "ms/position")
+}

@@ -87,7 +87,8 @@ type ScenarioResponse struct {
 	Risk      []scenario.RiskMeasure   `json:"risk"`
 
 	// Evaluations counts contract evaluations on the pricing substrate
-	// (the base Greeks pass books its five sweeps per position).
+	// (the base Greeks pass books every lane it priced: five per
+	// position under CRR, six otherwise).
 	Evaluations int64 `json:"evaluations"`
 	// ModelledJoules is Evaluations × the pricing backend's modelled
 	// per-option energy (zero for cache hits and the reference engine).

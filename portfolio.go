@@ -36,10 +36,10 @@ type PortfolioReport struct {
 // and aggregates value and Greeks, quantity-weighted. This is the
 // desk-side loop the accelerator's throughput target exists to serve: a
 // book revaluation is just a batch of tree pricings, so it routes
-// through the quad-interleaved batch path — each position costs one
-// retained scalar sweep plus a single quad sweep carrying all four
-// vega/rho bump contracts, instead of the five scalar sweeps of the
-// per-position loop. Results are bit-identical to pricing each position
+// through the quad-interleaved batch path — each position's base and
+// four vega/rho bump contracts are five lanes packed with the rest of
+// the book into full quad groups, instead of the five scalar sweeps of
+// the per-position loop. Results are bit-identical to pricing each position
 // alone through Engine.PriceAndGreeks (the scalar bit-parity
 // reference); portfolio_test.go pins the parity and benchmarks the
 // speedup.

@@ -179,9 +179,10 @@ func TestValuePortfolioErrors(t *testing.T) {
 
 // The benchmark pair demonstrates the quad speedup reaching book
 // revaluation: the quad path replaces the five scalar sweeps per
-// position with one retained scalar sweep plus a single four-lane quad
-// sweep. Run with -bench=ValuePortfolio; scripts/scenario_smoke.sh
-// gates the ratio in CI.
+// position with five lanes of shared quad sweeps (1.25 sweeps under
+// CRR). Run with -bench=ValuePortfolio; the allocs/op gate on
+// BenchmarkPriceAndGreeksBatch1024 in scripts/coldpath_smoke.sh keeps
+// the path on quad lanes in CI.
 func BenchmarkValuePortfolioQuad(b *testing.B) {
 	book := bigBook(64)
 	b.ReportAllocs()

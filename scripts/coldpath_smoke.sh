@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
 # coldpath_smoke.sh — guard the lattice cold path against silent
 # regression at the paper's 1024-step depth, on both sweeps a cache miss
-# can take:
+# can take and on the Greeks pass of a scenario request:
 #
 #   - BenchmarkPriceAmericanPut1024: the scalar reference sweep;
 #   - BenchmarkPriceBatchQuad1024/workers=1: the quad-interleaved batch
-#     pricer every serving shard submits its misses to, on one worker.
+#     pricer every serving shard submits its misses to, on one worker;
+#   - BenchmarkPriceAndGreeksBatch1024: a 12-position CRR book's base and
+#     bump lanes packed into 15 quad groups, on one worker. Its pinned
+#     allocs/op keeps the pass off per-position scalar sweeps, each of
+#     which allocates its plan and retained levels.
 #
 # Each benchmark runs a few times and two gates apply:
 #
@@ -72,5 +76,6 @@ gate() {
 }
 
 gate BenchmarkPriceAmericanPut1024 '^BenchmarkPriceAmericanPut1024$' 5
-gate BenchmarkPriceBatchQuad1024/workers=1 '^BenchmarkPriceBatchQuad1024$/^workers=1$' 13
+gate BenchmarkPriceBatchQuad1024/workers=1 '^BenchmarkPriceBatchQuad1024$/^workers=1$' 9
+gate BenchmarkPriceAndGreeksBatch1024 '^BenchmarkPriceAndGreeksBatch1024$' 13
 echo "coldpath_smoke: PASS"
