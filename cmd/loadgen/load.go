@@ -1,4 +1,4 @@
-package serve
+package main
 
 import (
 	"bytes"
@@ -7,29 +7,28 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"binopt/internal/option"
+	"binopt/internal/serve"
 )
 
-// LoadConfig parameterises a load-generation run against a pricing
+// loadConfig parameterises a load-generation run against a pricing
 // server. The workload is split into batch requests of BatchSize
 // contracts; WarmupPasses sweeps prime the server (cold lattice pricing,
 // cache fill) and are reported separately, then Passes sweeps are
 // measured.
-type LoadConfig struct {
-	// BaseURL of the target server, e.g. "http://127.0.0.1:8080".
-	BaseURL string
-	// Targets, when set, overrides BaseURL with several servers:
-	// requests round-robin across them and the report carries a
-	// per-target breakdown. This is client-side spreading for comparing
-	// raw nodes; point BaseURL at a cluster router instead to measure
-	// the fabric's own placement (ring-aware, cache-aligned).
+type loadConfig struct {
+	// Targets are the base URLs of the servers, e.g.
+	// "http://127.0.0.1:8080". Requests round-robin across them and the
+	// report carries a per-target breakdown. Several targets are
+	// client-side spreading for comparing raw nodes; give one cluster
+	// router instead to measure the fabric's own placement (ring-aware,
+	// cache-aligned).
 	Targets []string
 	// Options is the workload, typically the paper's 2000-put chain.
 	Options []option.Option
@@ -43,15 +42,12 @@ type LoadConfig struct {
 	Passes int
 	// RPS throttles the measured request rate; 0 means unlimited.
 	RPS float64
-	// Client overrides the HTTP client (default: shared transport with
-	// Concurrency idle connections).
-	Client *http.Client
 }
 
-// LoadReport summarises a run: client-observed throughput, exact latency
+// loadReport summarises a run: client-observed throughput, exact latency
 // quantiles over per-request round trips, and the server's modelled
 // energy bill for the options it actually priced.
-type LoadReport struct {
+type loadReport struct {
 	// Warmup phase totals (zero when WarmupPasses == 0).
 	WarmupOptions int64
 	WarmupElapsed time.Duration
@@ -85,14 +81,14 @@ type LoadReport struct {
 
 	// Targets is the measured-phase per-target breakdown, in the order
 	// the targets were configured. Single-target runs get one row.
-	Targets []TargetReport
+	Targets []targetReport
 }
 
-// TargetReport is the measured-phase slice of one target in a
+// targetReport is the measured-phase slice of one target in a
 // multi-target run: its share of the traffic and its own latency
 // quantiles, so a slow node shows up as itself instead of smearing the
 // fleet-wide tail.
-type TargetReport struct {
+type targetReport struct {
 	BaseURL       string
 	Requests      int64
 	Errors        int64
@@ -102,7 +98,7 @@ type TargetReport struct {
 }
 
 // Text renders the report as the operator-facing summary.
-func (r LoadReport) Text() string {
+func (r loadReport) Text() string {
 	var b strings.Builder
 	if r.WarmupOptions > 0 {
 		fmt.Fprintf(&b, "warmup:   %d options in %.2fs (%.0f options/s, cold path)\n",
@@ -112,7 +108,7 @@ func (r LoadReport) Text() string {
 	fmt.Fprintf(&b, "measured: %d options in %d requests over %.2fs\n", r.Options, r.Requests, r.Elapsed.Seconds())
 	fmt.Fprintf(&b, "throughput: %.0f options/s sustained\n", r.OptionsPerSec)
 	fmt.Fprintf(&b, "latency:  p50 %s  p95 %s  p99 %s (per request)\n", r.P50, r.P95, r.P99)
-	fmt.Fprintf(&b, "cache:    %d/%d hits (%.1f%%)\n", r.CacheHits, r.Options, 100*float64(r.CacheHits)/float64(max64(r.Options, 1)))
+	fmt.Fprintf(&b, "cache:    %d/%d hits (%.1f%%)\n", r.CacheHits, r.Options, 100*float64(r.CacheHits)/float64(max(r.Options, 1)))
 	if r.PhasePriced > 0 {
 		fmt.Fprintf(&b, "phases:   batch %s  queue %s  compute %s  readback %s (mean per priced option, %d options)\n",
 			r.PhaseBatch, r.PhaseQueue, r.PhaseCompute, r.PhaseRead, r.PhasePriced)
@@ -134,33 +130,23 @@ func (r LoadReport) Text() string {
 	return b.String()
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // loadRequest is one pre-encoded batch request.
 type loadRequest struct {
 	body    []byte
 	options int
 }
 
-// RunLoad drives the server with the configured workload and returns the
+// runLoad drives the server with the configured workload and returns the
 // report. The warmup phase exercises the cold pricing path; the measured
 // phase reports sustained serving throughput (on a repeated workload this
 // is dominated by cache hits — by design, that is the serving tier's
 // steady state).
-func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
+func runLoad(ctx context.Context, cfg loadConfig) (loadReport, error) {
 	if len(cfg.Options) == 0 {
-		return LoadReport{}, fmt.Errorf("loadgen: empty workload")
+		return loadReport{}, fmt.Errorf("loadgen: empty workload")
 	}
 	if len(cfg.Targets) == 0 {
-		if cfg.BaseURL == "" {
-			return LoadReport{}, fmt.Errorf("loadgen: no target: set BaseURL or Targets")
-		}
-		cfg.Targets = []string{cfg.BaseURL}
+		return loadReport{}, fmt.Errorf("loadgen: no target")
 	}
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 4
@@ -171,31 +157,24 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 	if cfg.Passes <= 0 {
 		cfg.Passes = 1
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: cfg.Concurrency}}
-	}
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: cfg.Concurrency}}
 
 	// Pre-encode one pass worth of batch requests.
 	var pass []loadRequest
 	for at := 0; at < len(cfg.Options); at += cfg.BatchSize {
-		end := at + cfg.BatchSize
-		if end > len(cfg.Options) {
-			end = len(cfg.Options)
-		}
-		chunk := cfg.Options[at:end]
-		req := PriceRequest{Contracts: make([]Contract, len(chunk))}
+		chunk := cfg.Options[at:min(at+cfg.BatchSize, len(cfg.Options))]
+		req := serve.PriceRequest{Contracts: make([]serve.Contract, len(chunk))}
 		for i, o := range chunk {
-			req.Contracts[i] = FromOption(o)
+			req.Contracts[i] = serve.FromOption(o)
 		}
 		body, err := json.Marshal(req)
 		if err != nil {
-			return LoadReport{}, fmt.Errorf("loadgen: encoding batch: %w", err)
+			return loadReport{}, fmt.Errorf("loadgen: encoding batch: %w", err)
 		}
 		pass = append(pass, loadRequest{body: body, options: len(chunk)})
 	}
 
-	var rep LoadReport
+	var rep loadReport
 
 	if cfg.WarmupPasses > 0 {
 		start := time.Now()
@@ -225,22 +204,16 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 	if rep.Elapsed > 0 {
 		rep.OptionsPerSec = float64(stats.options) / rep.Elapsed.Seconds()
 	}
-	sort.Slice(stats.latencies, func(i, j int) bool { return stats.latencies[i] < stats.latencies[j] })
-	rep.P50 = quantileDur(stats.latencies, 0.50)
-	rep.P95 = quantileDur(stats.latencies, 0.95)
-	rep.P99 = quantileDur(stats.latencies, 0.99)
+	rep.P50, rep.P95, rep.P99 = quantiles(stats.latencies)
 	for i, ts := range stats.perTarget {
-		tr := TargetReport{
+		tr := targetReport{
 			BaseURL: cfg.Targets[i], Requests: ts.requests,
 			Errors: ts.errors, Options: ts.options,
 		}
 		if rep.Elapsed > 0 {
 			tr.OptionsPerSec = float64(ts.options) / rep.Elapsed.Seconds()
 		}
-		sort.Slice(ts.latencies, func(a, b int) bool { return ts.latencies[a] < ts.latencies[b] })
-		tr.P50 = quantileDur(ts.latencies, 0.50)
-		tr.P95 = quantileDur(ts.latencies, 0.95)
-		tr.P99 = quantileDur(ts.latencies, 0.99)
+		tr.P50, tr.P95, tr.P99 = quantiles(ts.latencies)
 		rep.Targets = append(rep.Targets, tr)
 	}
 	total := rep.WarmupOptions + rep.Options
@@ -250,61 +223,55 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 	return rep, nil
 }
 
-type sweepStats struct {
-	requests, errors, options, cacheHits int64
-	retries                              int64
-	joules                               float64
-	latencies                            []time.Duration
-	phases                               phaseSums
-	perTarget                            []targetStats // parallel to cfg.Targets
-}
-
+// targetStats tallies the requests one target (or, embedded in
+// sweepStats, the whole sweep) answered.
 type targetStats struct {
 	requests, errors, options int64
 	latencies                 []time.Duration
 }
 
-// phaseSums accumulates Server-Timing phase durations, the priced
-// option counts they cover, and the per-request modelled joules the
-// server attached to each header.
-type phaseSums struct {
-	batch, queue, compute, readback time.Duration
-	joules                          float64
-	priced                          int64
+// record books one round trip; a failed one carries no options.
+func (ts *targetStats) record(lat time.Duration, failed bool, options int) {
+	ts.requests++
+	ts.latencies = append(ts.latencies, lat)
+	if failed {
+		ts.errors++
+	} else {
+		ts.options += int64(options)
+	}
 }
 
-func (p *phaseSums) add(o phaseSums) {
-	p.batch += o.batch
-	p.queue += o.queue
-	p.compute += o.compute
-	p.readback += o.readback
-	p.joules += o.joules
-	p.priced += o.priced
+type sweepStats struct {
+	targetStats
+	cacheHits, retries int64
+	joules             float64
+	phases             serve.PhaseBreakdown
+	perTarget          []targetStats // parallel to cfg.Targets
 }
 
 // addPhases folds one sweep's phase sums into the report's running
 // per-option means.
-func (r *LoadReport) addPhases(stats sweepStats) {
+func (r *loadReport) addPhases(stats sweepStats) {
 	p := stats.phases
-	r.HeaderJoules += p.joules
-	if p.priced == 0 {
+	r.HeaderJoules += p.Joules
+	if p.Priced == 0 {
 		return
 	}
 	prev := r.PhasePriced
-	total := prev + p.priced
+	total := prev + int64(p.Priced)
 	mix := func(mean time.Duration, sum time.Duration) time.Duration {
 		return time.Duration((int64(mean)*prev + int64(sum)) / total)
 	}
-	r.PhaseBatch = mix(r.PhaseBatch, p.batch)
-	r.PhaseQueue = mix(r.PhaseQueue, p.queue)
-	r.PhaseCompute = mix(r.PhaseCompute, p.compute)
-	r.PhaseRead = mix(r.PhaseRead, p.readback)
+	r.PhaseBatch = mix(r.PhaseBatch, p.Batch)
+	r.PhaseQueue = mix(r.PhaseQueue, p.Queue)
+	r.PhaseCompute = mix(r.PhaseCompute, p.Compute)
+	r.PhaseRead = mix(r.PhaseRead, p.Readback)
 	r.PhasePriced = total
 }
 
 // sweep runs `passes` copies of the request set through a worker pool and
 // aggregates per-request observations.
-func sweep(ctx context.Context, client *http.Client, cfg LoadConfig, pass []loadRequest, passes int, rps float64) (sweepStats, error) {
+func sweep(ctx context.Context, client *http.Client, cfg loadConfig, pass []loadRequest, passes int, rps float64) (sweepStats, error) {
 	// A worker that hits a transport error exits; once every worker is
 	// gone the feeder would block forever on an unbuffered send. The
 	// sweep-local cancel turns "first worker death" into "feeder stops",
@@ -342,21 +309,13 @@ func sweep(ctx context.Context, client *http.Client, cfg LoadConfig, pass []load
 					return
 				}
 				mu.Lock()
-				stats.requests++
-				stats.latencies = append(stats.latencies, lat)
-				ts := &stats.perTarget[ti]
-				ts.requests++
-				ts.latencies = append(ts.latencies, lat)
-				if obs.httpErr {
-					stats.errors++
-					ts.errors++
-				} else {
-					stats.options += int64(lr.options)
-					ts.options += int64(lr.options)
+				stats.record(lat, obs.httpErr, lr.options)
+				stats.perTarget[ti].record(lat, obs.httpErr, lr.options)
+				if !obs.httpErr {
 					stats.cacheHits += obs.cacheHits
 					stats.retries += obs.retries
 					stats.joules += obs.joules
-					stats.phases.add(obs.phases)
+					stats.phases.Add(obs.phases)
 				}
 				mu.Unlock()
 			}
@@ -396,92 +355,7 @@ type requestObs struct {
 	cacheHits int64
 	retries   int64
 	joules    float64
-	phases    phaseSums
-}
-
-// ParseServerTiming reads a Server-Timing header back into the phase
-// breakdown the server rendered it from — the inverse of
-// PhaseBreakdown.ServerTiming. The cluster router uses it to merge the
-// phase accounting of sub-batches fanned out across nodes into one
-// fleet-level header. Unknown metric names and parameters are skipped
-// (proxies append their own entries; newer servers add metrics older
-// clients haven't heard of); the error fires only when a non-empty
-// header yields no recognised metric at all, which means the peer is
-// not speaking this protocol.
-func ParseServerTiming(header string) (PhaseBreakdown, error) {
-	p, recognised := parseServerTiming(header)
-	if recognised == 0 {
-		return PhaseBreakdown{}, fmt.Errorf("serve: no recognised metrics in Server-Timing %q", header)
-	}
-	return PhaseBreakdown{
-		Batch: p.batch, Queue: p.queue, Compute: p.compute, Readback: p.readback,
-		Priced: int(p.priced), Joules: p.joules,
-	}, nil
-}
-
-// Add accumulates another breakdown into p.
-func (p *PhaseBreakdown) Add(o PhaseBreakdown) {
-	p.Batch += o.Batch
-	p.Queue += o.Queue
-	p.Compute += o.Compute
-	p.Readback += o.Readback
-	p.Priced += o.Priced
-	p.Joules += o.Joules
-}
-
-// parseServerTiming reads the serving tier's Server-Timing header:
-// per-phase summed milliseconds, the priced option count, and the
-// request's modelled joules ("batch;dur=1.2, ..., priced;dur=250,
-// joules;dur=0.004"). It follows the header's grammar rather than the
-// exact string the server emits: entries split on ",", parameters on
-// ";", and the dur parameter may sit anywhere among other parameters
-// ("compute;desc=fpga;dur=10"). Unknown metrics, unknown parameters and
-// malformed values are skipped — the generator must survive
-// proxy-mangled headers and older or newer servers. Returns the sums
-// plus how many entries were recognised.
-func parseServerTiming(header string) (phaseSums, int) {
-	var p phaseSums
-	recognised := 0
-	for _, entry := range strings.Split(header, ",") {
-		params := strings.Split(entry, ";")
-		name := strings.TrimSpace(params[0])
-		var dur string
-		found := false
-		for _, param := range params[1:] {
-			if k, v, ok := strings.Cut(param, "="); ok && strings.TrimSpace(k) == "dur" {
-				dur, found = strings.TrimSpace(v), true
-				break
-			}
-		}
-		if !found {
-			continue
-		}
-		v, err := strconv.ParseFloat(dur, 64)
-		if err != nil {
-			continue
-		}
-		d := time.Duration(v * float64(time.Millisecond))
-		switch name {
-		case "batch":
-			p.batch = d
-		case "queue":
-			p.queue = d
-		case "compute":
-			p.compute = d
-		case "readback":
-			p.readback = d
-		case "priced":
-			p.priced = int64(v)
-		case "joules":
-			// The dur= slot carries joules directly; the metric name,
-			// not the slot, fixes the unit (see ServerTiming).
-			p.joules = v
-		default:
-			continue
-		}
-		recognised++
-	}
-	return p, recognised
+	phases    serve.PhaseBreakdown
 }
 
 // doPriceRequest posts one batch and parses the response. Non-2xx
@@ -502,13 +376,13 @@ func doPriceRequest(ctx context.Context, client *http.Client, baseURL string, lr
 		io.Copy(io.Discard, resp.Body)
 		return requestObs{httpErr: true}, nil
 	}
-	var pr PriceResponse
+	var pr serve.PriceResponse
 	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 		return requestObs{}, fmt.Errorf("decoding response: %w", err)
 	}
 	obs := requestObs{}
 	if st := resp.Header.Get("Server-Timing"); st != "" {
-		obs.phases, _ = parseServerTiming(st)
+		obs.phases, _ = serve.ParseServerTiming(st)
 	}
 	for _, res := range pr.Results {
 		if res.Cached {
@@ -520,11 +394,12 @@ func doPriceRequest(ctx context.Context, client *http.Client, baseURL string, lr
 	return obs, nil
 }
 
-// quantileDur returns the q-quantile of an ascending slice.
-func quantileDur(d []time.Duration, q float64) time.Duration {
+// quantiles sorts d and returns its p50, p95 and p99 (zero when empty).
+func quantiles(d []time.Duration) (p50, p95, p99 time.Duration) {
 	if len(d) == 0 {
-		return 0
+		return 0, 0, 0
 	}
-	i := int(q * float64(len(d)-1))
-	return d[i]
+	slices.Sort(d)
+	at := func(q float64) time.Duration { return d[int(q*float64(len(d)-1))] }
+	return at(0.50), at(0.95), at(0.99)
 }

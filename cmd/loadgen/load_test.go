@@ -1,17 +1,37 @@
-package serve
+package main
 
 import (
 	"context"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"binopt/internal/serve"
 	"binopt/internal/workload"
 )
 
+// newTestServer starts a pricing server behind an httptest listener,
+// both torn down when the test ends.
+func newTestServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
+	t.Helper()
+	srv, err := serve.New(cfg)
+	if err != nil {
+		t.Fatalf("serve.New: %v", err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Close(ctx)
+	})
+	return srv, hs
+}
+
 // TestRunLoadSmall checks the generator's accounting on a tiny workload.
 func TestRunLoadSmall(t *testing.T) {
-	_, hs := newTestServer(t, Config{Steps: 32})
+	_, hs := newTestServer(t, serve.Config{Steps: 32})
 	spec := workload.DefaultVolCurveSpec(3)
 	spec.N = 8
 	chain, err := workload.Chain(spec)
@@ -19,12 +39,12 @@ func TestRunLoadSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL: hs.URL, Options: chain,
+	rep, err := runLoad(context.Background(), loadConfig{
+		Targets: []string{hs.URL}, Options: chain,
 		Concurrency: 2, BatchSize: 3, WarmupPasses: 1, Passes: 2,
 	})
 	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
+		t.Fatalf("runLoad: %v", err)
 	}
 	if rep.WarmupOptions != 8 {
 		t.Errorf("warmup options = %d, want 8", rep.WarmupOptions)
@@ -59,8 +79,8 @@ func TestRunLoadSmall(t *testing.T) {
 // the servers and the report carries a per-target breakdown whose rows
 // sum to the fleet totals.
 func TestRunLoadMultiTarget(t *testing.T) {
-	_, hsA := newTestServer(t, Config{Steps: 32})
-	_, hsB := newTestServer(t, Config{Steps: 32})
+	_, hsA := newTestServer(t, serve.Config{Steps: 32})
+	_, hsB := newTestServer(t, serve.Config{Steps: 32})
 	spec := workload.DefaultVolCurveSpec(9)
 	spec.N = 12
 	chain, err := workload.Chain(spec)
@@ -68,12 +88,12 @@ func TestRunLoadMultiTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := RunLoad(context.Background(), LoadConfig{
+	rep, err := runLoad(context.Background(), loadConfig{
 		Targets: []string{hsA.URL, hsB.URL}, Options: chain,
 		Concurrency: 2, BatchSize: 3, Passes: 2,
 	})
 	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
+		t.Fatalf("runLoad: %v", err)
 	}
 	if len(rep.Targets) != 2 {
 		t.Fatalf("per-target rows = %d, want 2", len(rep.Targets))
@@ -98,14 +118,14 @@ func TestRunLoadMultiTarget(t *testing.T) {
 	}
 
 	// No target configured at all is a configuration error.
-	if _, err := RunLoad(context.Background(), LoadConfig{Options: chain}); err == nil {
-		t.Error("RunLoad accepted a config with no target")
+	if _, err := runLoad(context.Background(), loadConfig{Options: chain}); err == nil {
+		t.Error("runLoad accepted a config with no target")
 	}
 }
 
 // TestRunLoadRPSThrottle bounds the measured request rate.
 func TestRunLoadRPSThrottle(t *testing.T) {
-	_, hs := newTestServer(t, Config{Steps: 16})
+	_, hs := newTestServer(t, serve.Config{Steps: 16})
 	spec := workload.DefaultVolCurveSpec(5)
 	spec.N = 4
 	chain, err := workload.Chain(spec)
@@ -113,8 +133,8 @@ func TestRunLoadRPSThrottle(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	rep, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL: hs.URL, Options: chain,
+	rep, err := runLoad(context.Background(), loadConfig{
+		Targets: []string{hs.URL}, Options: chain,
 		Concurrency: 1, BatchSize: 2, Passes: 2, RPS: 50,
 	})
 	if err != nil {
@@ -152,13 +172,13 @@ func TestLoadgenSmoke2000OptionsPerSec(t *testing.T) {
 		t.Fatalf("chain size %d, want the paper's 2000", len(chain))
 	}
 
-	_, hs := newTestServer(t, Config{Steps: 1024})
-	rep, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL: hs.URL, Options: chain,
+	_, hs := newTestServer(t, serve.Config{Steps: 1024})
+	rep, err := runLoad(context.Background(), loadConfig{
+		Targets: []string{hs.URL}, Options: chain,
 		Concurrency: 4, BatchSize: 250, WarmupPasses: 1, Passes: 4,
 	})
 	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
+		t.Fatalf("runLoad: %v", err)
 	}
 	t.Logf("loadgen summary:\n%s", rep.Text())
 
@@ -186,7 +206,7 @@ func TestLoadgenSmoke2000OptionsPerSec(t *testing.T) {
 // gone the unbuffered send in the feed loop deadlocked under a
 // background context.)
 func TestRunLoadDeadTargetFailsFast(t *testing.T) {
-	_, hs := newTestServer(t, Config{Steps: 32})
+	_, hs := newTestServer(t, serve.Config{Steps: 32})
 	dead := hs.URL
 	hs.Close() // nothing listens here any more
 
@@ -202,8 +222,8 @@ func TestRunLoadDeadTargetFailsFast(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		_, err := RunLoad(context.Background(), LoadConfig{
-			BaseURL: dead, Options: chain,
+		_, err := runLoad(context.Background(), loadConfig{
+			Targets: []string{dead}, Options: chain,
 			Concurrency: 1, BatchSize: 1, Passes: 1,
 		})
 		done <- result{err}
@@ -211,9 +231,9 @@ func TestRunLoadDeadTargetFailsFast(t *testing.T) {
 	select {
 	case r := <-done:
 		if r.err == nil {
-			t.Fatal("RunLoad against a dead target reported success")
+			t.Fatal("runLoad against a dead target reported success")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("RunLoad deadlocked against a dead target")
+		t.Fatal("runLoad deadlocked against a dead target")
 	}
 }

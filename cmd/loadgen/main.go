@@ -51,7 +51,6 @@ import (
 	"strings"
 	"syscall"
 
-	"binopt/internal/serve"
 	"binopt/internal/slo"
 	"binopt/internal/workload"
 )
@@ -135,8 +134,10 @@ func run(addr string, targets []string, n int, seed int64, concurrency, batch, w
 		fmt.Printf("loadgen: %d-put chain (seed %d), %d warmup + %d measured passes, batch %d, concurrency %d\n",
 			n, seed, warmup, passes, batch, concurrency)
 	}
-	rep, err := serve.RunLoad(ctx, serve.LoadConfig{
-		BaseURL:      addr,
+	if len(targets) == 0 {
+		targets = []string{addr}
+	}
+	rep, err := runLoad(ctx, loadConfig{
 		Targets:      targets,
 		Options:      chain,
 		Concurrency:  concurrency,
@@ -153,13 +154,9 @@ func run(addr string, targets []string, n int, seed int64, concurrency, batch, w
 		// The chaos verdict: a fault-tolerant pool absorbs injected shard
 		// faults server-side (retries > 0 is the proof faults fired), and
 		// no error ever reaches a client.
-		reqs := rep.Requests
-		if reqs == 0 {
-			reqs = 1
-		}
 		fmt.Printf("chaos:    %d client-visible errors / %d requests (%.2f%%), %d server-side retries (%.3f per option)\n",
-			rep.Errors, rep.Requests, 100*float64(rep.Errors)/float64(reqs),
-			rep.Retries, float64(rep.Retries)/float64(maxI64(rep.Options, 1)))
+			rep.Errors, rep.Requests, 100*float64(rep.Errors)/float64(max(rep.Requests, 1)),
+			rep.Retries, float64(rep.Retries)/float64(max(rep.Options, 1)))
 		if rep.Errors > 0 {
 			return fmt.Errorf("chaos verdict: %d client-visible errors — failover did not absorb the faults", rep.Errors)
 		}
@@ -217,11 +214,4 @@ func checkSLO(base string) error {
 	}
 	fmt.Println("slo verdict: pass — no objective burning")
 	return nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,6 @@
 //go:build race
 
-package serve
+package main
 
 // raceEnabled reports whether the race detector is compiled in.
 const raceEnabled = true

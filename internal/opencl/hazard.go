@@ -31,10 +31,10 @@ func newHazardTracker() *hazardTracker {
 }
 
 // note records one access and logs a conflict when a different work-item
-// already touched the element incompatibly.
+// already touched the element incompatibly. Caller holds h.mu, and
+// performs the access itself in the same critical section, so colliding
+// accesses from concurrent work-groups are serialised, not raced.
 func (h *hazardTracker) note(b *Buffer, idx int, wi int, write bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	m := h.access[b]
 	if m == nil {
 		m = make(map[int]accessRecord)

@@ -94,8 +94,10 @@ func (wi *WorkItem) Local(i int) []float64 {
 // Load reads global memory and meters the traffic.
 func (wi *WorkItem) Load(b *Buffer, idx int) float64 {
 	wi.stats.GlobalReads += b.elemBytes
-	if wi.g.hazard != nil {
-		wi.g.hazard.note(b, idx, wi.globalID, false)
+	if h := wi.g.hazard; h != nil {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.note(b, idx, wi.globalID, false)
 	}
 	return b.at(idx)
 }
@@ -103,8 +105,10 @@ func (wi *WorkItem) Load(b *Buffer, idx int) float64 {
 // Store writes global memory and meters the traffic.
 func (wi *WorkItem) Store(b *Buffer, idx int, v float64) {
 	wi.stats.GlobalWrites += b.elemBytes
-	if wi.g.hazard != nil {
-		wi.g.hazard.note(b, idx, wi.globalID, true)
+	if h := wi.g.hazard; h != nil {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.note(b, idx, wi.globalID, true)
 	}
 	b.set(idx, v)
 }

@@ -87,13 +87,14 @@ type backend struct {
 	cfg    BackendConfig
 	jobs   chan []*job
 	joules float64 // modelled joules per option on this device
-	// pending counts options dispatched to this shard and not yet
-	// completed or failed over; admission reads it to estimate drain
-	// time.
+	// pending counts options dispatched to this shard (a running
+	// revaluation's contracts included) and not yet completed or failed
+	// over; admission reads it to estimate drain time.
 	pending atomic.Int64
-	// inflight counts batches dispatched to this shard and not yet
-	// finished, queued or executing. Fewer than Workers in flight means
-	// a worker is idle, which energy-first placement looks for.
+	// inflight counts work holding a slot on this shard: batches queued
+	// or executing, and revaluations running on its engine. Fewer than
+	// Workers in flight means a worker is idle, which energy-first
+	// placement looks for.
 	inflight atomic.Int64
 	priced   *atomic.Int64 // metrics counter: options priced here
 	errs     *atomic.Int64 // metrics counter: pricing attempts failed here
@@ -147,60 +148,75 @@ func (s *Server) dispatchBatch(batch []*job) {
 	s.dispatch(batch, nil)
 }
 
-// dispatch places a batch on a shard queue. Candidates are the breaker-
-// eligible shards minus `exclude` (the shard a retried job just failed
-// on); if the breakers have shed everything, all shards are candidates
-// again — a fully dark pool should still try rather than park work.
+// place is the pool's one placement policy, shared by contract batches
+// and scenario revaluations. The candidates are the breaker-eligible
+// shards minus `exclude` (the shard a retried attempt just failed on);
+// if the breakers have shed everything, every shard but `exclude` is a
+// candidate again — a fully dark pool should still try rather than
+// park work — and a one-shard pool keeps its only shard.
 //
-// Placement is energy-first: the batch goes to the lowest-joules shard
-// that has an idle worker, so the cheap devices take the load before a
-// faster, hungrier one is woken. When no candidate has an idle worker,
-// a non-blocking pass in modelled-drain-time order follows; if every
-// candidate queue is full, a select across *every* candidate's queue at
-// once, so the batch lands on whichever shard frees up first instead of
-// blocking on one queue chosen from by-then-stale drain scores. The
-// shutdown-abort channel participates in the same select: a send
-// abandoned at shutdown fails the batch's jobs with ErrClosed and rolls
-// back their admission, rather than leaking them (and a pending count)
-// on a queue nobody drains.
-//
-// A shard's pending and inflight counts are booked only once its send
-// is certain, so the abandoned path has nothing to roll back there.
-func (s *Server) dispatch(batch []*job, exclude *backend) {
-	candidates := make([]*backend, 0, len(s.backends))
+// The work is offered to each candidate until take accepts it:
+// energy-first, the lowest-joules shard with an idle worker
+// (take(be, true)), so the cheap devices take the load before a faster,
+// hungrier one is woken; failing that, in modelled-drain-time order,
+// the first shard with room left (take(be, false)). place returns the
+// shard that accepted, or nil when both passes declined, plus the
+// candidates in drain-time order.
+func (s *Server) place(exclude *backend, take func(be *backend, idleOnly bool) bool) (*backend, []*backend) {
+	cands := make([]*backend, 0, len(s.backends))
 	for _, be := range s.backends {
 		if be != exclude && be.breaker.eligible() {
-			candidates = append(candidates, be)
+			cands = append(cands, be)
 		}
 	}
-	if len(candidates) == 0 {
+	if len(cands) == 0 {
 		for _, be := range s.backends {
 			if be != exclude {
-				candidates = append(candidates, be)
+				cands = append(cands, be)
 			}
 		}
 	}
-	if len(candidates) == 0 {
-		candidates = s.backends
+	if len(cands) == 0 {
+		cands = append(cands, s.backends...)
 	}
 
-	sort.SliceStable(candidates, func(i, j int) bool { return candidates[i].joules < candidates[j].joules })
-	for _, be := range candidates {
-		if be.offer(batch, true) {
-			return
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].joules < cands[j].joules })
+	for _, be := range cands {
+		if take(be, true) {
+			return be, cands
 		}
 	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].drainScore() < candidates[j].drainScore() })
-	for _, be := range candidates {
-		if be.offer(batch, false) {
-			return
+	sort.Slice(cands, func(i, j int) bool { return cands[i].drainScore() < cands[j].drainScore() })
+	for _, be := range cands {
+		if take(be, false) {
+			return be, cands
 		}
+	}
+	return nil, cands
+}
+
+// dispatch places a batch on a shard queue through place. If every
+// candidate declines, a select across *every* candidate's queue at
+// once follows, so the batch lands on whichever shard frees up first
+// instead of blocking on one queue chosen from by-then-stale drain
+// scores. The shutdown-abort channel participates in the same select: a
+// send abandoned at shutdown fails the batch's jobs with ErrClosed and
+// rolls back their admission, rather than leaking them (and a pending
+// count) on a queue nobody drains.
+//
+// On that path a shard's pending and inflight counts are booked only
+// once its send is certain, so the abandoned send has nothing to roll
+// back there.
+func (s *Server) dispatch(batch []*job, exclude *backend) {
+	be, cands := s.place(exclude, func(be *backend, idleOnly bool) bool { return be.offer(batch, idleOnly) })
+	if be != nil {
+		return
 	}
 
-	cases := make([]reflect.SelectCase, 0, len(candidates)+1)
+	cases := make([]reflect.SelectCase, 0, len(cands)+1)
 	cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(s.aborted)})
 	bv := reflect.ValueOf(batch)
-	for _, be := range candidates {
+	for _, be := range cands {
 		cases = append(cases, reflect.SelectCase{Dir: reflect.SelectSend, Chan: reflect.ValueOf(be.jobs), Send: bv})
 	}
 	chosen, _, _ := reflect.Select(cases)
@@ -212,25 +228,48 @@ func (s *Server) dispatch(batch []*job, exclude *backend) {
 		}
 		return
 	}
-	be := candidates[chosen-1]
+	be = cands[chosen-1]
 	be.inflight.Add(1)
 	be.pending.Add(int64(len(batch)))
 }
 
-// offer sends batch to the shard's queue without blocking and reports
-// whether it was taken. With idleOnly it first reserves an idle worker
-// and declines when every worker already has a batch in flight.
-func (be *backend) offer(batch []*job, idleOnly bool) bool {
-	if be.inflight.Add(1) > int64(be.cfg.Workers) && idleOnly {
+// reserve claims one in-flight slot of n options on the shard: with
+// idleOnly only while a worker is idle, otherwise while the shard's
+// declared capacity — Workers executing plus QueueDepth queued — has
+// room. Batches hold the slot from offer until their worker finishes;
+// a revaluation, which runs on the shard's engine from its request
+// goroutine, holds it until release.
+func (be *backend) reserve(n int64, idleOnly bool) bool {
+	limit := int64(be.cfg.Workers)
+	if !idleOnly {
+		limit += int64(be.cfg.QueueDepth)
+	}
+	if be.inflight.Add(1) > limit {
 		be.inflight.Add(-1)
+		return false
+	}
+	be.pending.Add(n)
+	return true
+}
+
+// release returns a slot taken by reserve.
+func (be *backend) release(n int64) {
+	be.pending.Add(-n)
+	be.inflight.Add(-1)
+}
+
+// offer sends batch to the shard's queue without blocking and reports
+// whether it was taken, holding a reserve slot while it is in flight.
+func (be *backend) offer(batch []*job, idleOnly bool) bool {
+	n := int64(len(batch))
+	if !be.reserve(n, idleOnly) {
 		return false
 	}
 	select {
 	case be.jobs <- batch:
-		be.pending.Add(int64(len(batch)))
 		return true
 	default:
-		be.inflight.Add(-1)
+		be.release(n)
 		return false
 	}
 }

@@ -110,3 +110,27 @@ func FuzzParseScenarioRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseServerTiming feeds arbitrary headers to the one Server-Timing
+// parser the router and loadgen share. It must never panic, and a header
+// it accepts must render to a fixed point: formatting the breakdown,
+// parsing that back and formatting again yields the same header.
+func FuzzParseServerTiming(f *testing.F) {
+	for _, c := range serverTimingCases {
+		f.Add(c.header)
+	}
+	f.Fuzz(func(t *testing.T, header string) {
+		bd, err := ParseServerTiming(header)
+		if err != nil {
+			return
+		}
+		formatted := bd.ServerTiming()
+		again, err := ParseServerTiming(formatted)
+		if err != nil {
+			t.Fatalf("ParseServerTiming(%q) rejected its own rendering %q: %v", header, formatted, err)
+		}
+		if got := again.ServerTiming(); got != formatted {
+			t.Fatalf("ParseServerTiming(%q): rendering is not a fixed point:\n%s\n%s", header, formatted, got)
+		}
+	})
+}

@@ -4,12 +4,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
+	"binopt/internal/accel"
 	"binopt/internal/lattice"
 	"binopt/internal/obslog"
 	"binopt/internal/scenario"
@@ -201,28 +205,51 @@ func scenarioCacheCapFor(cacheSize int) int {
 	return scenarioCacheCap
 }
 
-// scenarioPricer picks the engine shard a revaluation runs on: the
-// engine-backed backend with the shortest modelled drain time, so
-// scenario load lands on whichever accelerator is most idle. With no
-// engine shards (or a PriceFunc override, whose stub kernels are not
-// the reference) it falls back to the server's reference lattice —
-// bit-identical either way, per the startup parity check.
-func (s *Server) scenarioPricer() (*backend, scenario.Pricer, string, float64) {
-	if s.cfg.PriceFunc == nil {
-		var best *backend
-		for _, be := range s.backends {
-			if be.cfg.Engine == nil || be.cfg.PriceFunc != nil {
-				continue
-			}
-			if best == nil || be.drainScore() < best.drainScore() {
-				best = be
-			}
-		}
-		if best != nil {
-			return best, best.cfg.Engine, best.cfg.Name, best.joules
-		}
+// revalue runs one revaluation on an engine shard chosen by place, the
+// policy contract batches follow, and returns the report with the shard
+// that priced it (nil for the reference lattice). The revaluation holds
+// a reserve slot on its shard while it runs, so contract dispatch and
+// Retry-After see the load; when no engine shard has a slot left it
+// returns ErrSaturated. A failed attempt is booked the way failJob books
+// one — breaker, shard and node error counters, retry counter — and the
+// revaluation moves to the next shard after retryBackoff, within
+// MaxAttempts. With no engine shard (a PriceFunc override, whose stub
+// kernels are not the reference) it prices on the server's reference
+// lattice: bit-identical either way, per the startup parity check.
+func (s *Server) revalue(req scenario.Request, log *slog.Logger) (scenario.Report, *backend, error) {
+	engineOf := func(be *backend) *accel.Engine { _, eng := s.shardKernel(be); return eng }
+	if !slices.ContainsFunc(s.backends, func(be *backend) bool { return engineOf(be) != nil }) {
+		rep, err := scenario.New(s.engine, 0).Revalue(req)
+		return rep, nil, err
 	}
-	return nil, s.engine, "reference", 0
+	n := int64(len(req.Shocks)+1) * int64(len(req.Book))
+	var failed *backend
+	for attempt := 1; ; attempt++ {
+		be, _ := s.place(failed, func(be *backend, idleOnly bool) bool {
+			return engineOf(be) != nil && be.reserve(n, idleOnly)
+		})
+		if be == nil {
+			return scenario.Report{}, nil, ErrSaturated
+		}
+		rep, err := scenario.New(engineOf(be), 0).Revalue(req)
+		be.release(n)
+		if err == nil {
+			be.breaker.onSuccess()
+			return rep, be, nil
+		}
+		be.breaker.onFailure()
+		be.errs.Add(1)
+		s.metrics.priceErrors.Add(1)
+		if attempt >= s.cfg.MaxAttempts {
+			return scenario.Report{}, be, fmt.Errorf("%d attempt(s) failed, last on %s: %w", attempt, be.cfg.Name, err)
+		}
+		s.metrics.retries.Add(1)
+		backoff := retryBackoff(s.cfg.RetryBackoff, attempt)
+		log.Warn("scenario attempt failed, retrying on another shard",
+			"backend", be.cfg.Name, "attempt", attempt, "backoff", backoff.String(), "error", err.Error())
+		time.Sleep(backoff)
+		failed = be
+	}
 }
 
 // scenarioServerTiming renders the revaluation's phase breakdown in the
@@ -308,42 +335,30 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Admission: a revaluation is a standing claim on a whole engine, so
-	// concurrent requests are bounded separately from the per-contract
-	// queue. Beyond the bound the client gets the same 429 contract.
-	select {
-	case s.scenarioSem <- struct{}{}:
-		defer func() { <-s.scenarioSem }()
-	default:
+	// Price phase: base book (with Greeks unless skipped) plus the whole
+	// scenario cross product through the quad-interleaved batch path, on
+	// the shard the pool's placement policy picks.
+	rep, be, err := s.revalue(scenario.Request{
+		Book: book, Shocks: shocks, Quantiles: quantiles, SkipGreeks: req.SkipGreeks,
+	}, log)
+	priceDone := time.Now()
+	emitPhase("price", expandDone, priceDone.Sub(expandDone))
+	if errors.Is(err, ErrSaturated) {
 		s.metrics.rejected.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.RetryAfter()/time.Second)))
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "scenario capacity saturated"})
 		return
 	}
-
-	be, pricer, backendName, jpo := s.scenarioPricer()
-	eng := scenario.New(pricer, 0)
-	if be != nil {
-		// Book the expansion on the shard's pending count for the
-		// duration, so contract dispatch and Retry-After see the load.
-		est := int64(len(shocks)+1) * int64(len(book))
-		be.pending.Add(est)
-		defer be.pending.Add(-est)
-	}
-
-	// Price phase: base book (with Greeks unless skipped) plus the whole
-	// scenario cross product through the quad-interleaved batch path.
-	rep, err := eng.Revalue(scenario.Request{
-		Book: book, Shocks: shocks, Quantiles: quantiles, SkipGreeks: req.SkipGreeks,
-	})
-	priceDone := time.Now()
-	emitPhase("price", expandDone, priceDone.Sub(expandDone))
 	if err != nil {
 		observe(true)
 		log.Warn("scenario request failed",
 			"positions", len(book), "scenarios", len(shocks), "error", err.Error())
 		s.writeError(w, http.StatusInternalServerError, "%v", err)
 		return
+	}
+	backendName, jpo := "reference", 0.0
+	if be != nil {
+		backendName, jpo = be.cfg.Name, be.joules
 	}
 
 	// Aggregate phase: energy ledger, metrics, cache fill, response.

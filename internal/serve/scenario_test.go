@@ -1,11 +1,18 @@
 package serve
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"binopt/internal/lattice"
 	"binopt/internal/option"
@@ -405,4 +412,214 @@ func readAll(t *testing.T, resp *http.Response) string {
 		}
 	}
 	return sb.String()
+}
+
+// placementPool starts a server over the real DefaultBackends engines at
+// 16 steps and returns it with its shards ordered cheapest first, the
+// order energy-first placement tries them in.
+func placementPool(t *testing.T, queueDepth int) (*Server, string, []*backend) {
+	t.Helper()
+	const steps = 16
+	bcs, err := DefaultBackends(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range bcs {
+		bcs[i].QueueDepth = queueDepth
+	}
+	s, hs := newTestServer(t, Config{
+		Steps: steps, Backends: bcs, CacheSize: -1,
+		Breaker: BreakerConfig{Cooldown: time.Hour},
+	})
+	byCost := slices.Clone(s.backends)
+	slices.SortStableFunc(byCost, func(a, b *backend) int { return cmp.Compare(a.joules, b.joules) })
+	return s, hs.URL, byCost
+}
+
+// placementRequest is a small grid revaluation with Greeks.
+func placementRequest() ScenarioRequest {
+	return ScenarioRequest{
+		Portfolio: scenarioTestBook(5),
+		Grid: &scenario.GridSpec{
+			Spot: scenario.Axis{From: 0.9, To: 1.1, N: 3},
+			Vol:  scenario.Axis{From: 0.8, To: 1.2, N: 2},
+		},
+	}
+}
+
+// postScenarios posts one revaluation and decodes a 200 answer.
+func postScenarios(t *testing.T, url string, req ScenarioRequest) ScenarioResponse {
+	t.Helper()
+	resp, body := postJSON(t, url+"/v1/scenarios", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var got ScenarioResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestScenarioPlacedEnergyFirst: with every shard idle, a revaluation
+// lands where a contract batch would — on the cheapest shard by joules,
+// not the fastest to drain — and books its evaluations at that engine's
+// modelled J/option. (At the 16 steps used here the cheapest default
+// shard is fpga-ivb; at the paper's 1024 it is embedded-keystone.)
+func TestScenarioPlacedEnergyFirst(t *testing.T) {
+	_, url, byCost := placementPool(t, 0)
+	cheapest := byCost[0]
+	fastest := slices.MaxFunc(byCost, func(a, b *backend) int {
+		return cmp.Compare(a.cfg.Estimate.OptionsPerSec, b.cfg.Estimate.OptionsPerSec)
+	})
+	if cheapest == fastest {
+		t.Fatalf("%s is both cheapest and fastest; the test cannot tell the policies apart", cheapest.cfg.Name)
+	}
+	got := postScenarios(t, url, placementRequest())
+	if got.Backend != cheapest.cfg.Name {
+		t.Errorf("revaluation answered from %s, want the cheapest shard %s", got.Backend, cheapest.cfg.Name)
+	}
+	want := float64(got.Evaluations) * cheapest.cfg.Engine.ModelledJoulesPerOption()
+	if got.Evaluations == 0 || got.ModelledJoules != want {
+		t.Errorf("modelled joules %v for %d evaluations, want %v", got.ModelledJoules, got.Evaluations, want)
+	}
+}
+
+// TestScenarioSkipsOpenBreaker: the breakers that shed contract batches
+// shed revaluations too — with the cheapest shard's breaker open, the
+// next-cheapest answers.
+func TestScenarioSkipsOpenBreaker(t *testing.T) {
+	_, url, byCost := placementPool(t, 0)
+	b := byCost[0].breaker
+	b.mu.Lock()
+	b.trip()
+	b.mu.Unlock()
+	if got := postScenarios(t, url, placementRequest()); got.Backend != byCost[1].cfg.Name {
+		t.Errorf("revaluation answered from %s with %s's breaker open, want %s",
+			got.Backend, byCost[0].cfg.Name, byCost[1].cfg.Name)
+	}
+}
+
+// TestScenarioFailsOver: when the first-choice engine faults, the
+// attempt is booked against its breaker and error counters, and the
+// revaluation retries on the next shard, answering bit-identically to
+// the reference lattice.
+func TestScenarioFailsOver(t *testing.T) {
+	s, url, byCost := placementPool(t, 0)
+	first := byCost[0]
+	first.cfg.Engine.SetFaultHook(func() error { return errors.New("injected fault") })
+
+	req := placementRequest()
+	got := postScenarios(t, url, req)
+	if got.Backend != byCost[1].cfg.Name {
+		t.Errorf("revaluation answered from %s, want the next-cheapest %s", got.Backend, byCost[1].cfg.Name)
+	}
+
+	book, shocks, quantiles, err := req.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := lattice.NewEngine(s.Steps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := scenario.New(ref, 0).Revalue(scenario.Request{Book: book, Shocks: shocks, Quantiles: quantiles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRep := scenario.Report{
+		BaseValue: got.BaseValue, HasGreeks: got.HasGreeks,
+		Scenarios: got.Scenarios, Risk: got.Risk, Evaluations: got.Evaluations,
+	}
+	if got.Greeks != nil {
+		gotRep.Greeks = lattice.Greeks{Delta: got.Greeks.Delta, Gamma: got.Greeks.Gamma, Theta: got.Greeks.Theta, Vega: got.Greeks.Vega, Rho: got.Greeks.Rho}
+	}
+	// JSON renders each float64 in its shortest round-trip form, so
+	// equal encodings are equal bits.
+	gj, _ := json.Marshal(gotRep)
+	wj, _ := json.Marshal(want)
+	if string(gj) != string(wj) {
+		t.Errorf("failed-over revaluation differs from the reference:\n got %s\nwant %s", gj, wj)
+	}
+
+	if n := first.errs.Load(); n != 1 {
+		t.Errorf("%s error counter = %d, want 1", first.cfg.Name, n)
+	}
+	first.breaker.mu.Lock()
+	fails := first.breaker.fails
+	first.breaker.mu.Unlock()
+	if fails != 1 {
+		t.Errorf("%s breaker window holds %d failures, want 1", first.cfg.Name, fails)
+	}
+	if n := s.metrics.retries.Load(); n != 1 {
+		t.Errorf("retries = %d, want 1", n)
+	}
+	if n := s.metrics.priceErrors.Load(); n != 1 {
+		t.Errorf("price errors = %d, want 1", n)
+	}
+}
+
+// TestScenarioSaturated429: revaluations hold their shard slots while
+// they run, so once every engine shard's workers and queue are claimed
+// the next revaluation gets 429 with Retry-After; the held ones finish.
+func TestScenarioSaturated429(t *testing.T) {
+	_, url, byCost := placementPool(t, 1)
+	capacity := 0
+	// Every engine call of every revaluation sends once; the buffer is
+	// far beyond capacity × the few calls one revaluation makes, so a
+	// released hook never blocks on it.
+	entered := make(chan struct{}, 1024)
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // runs before the server's own cleanup
+	for _, be := range byCost {
+		capacity += be.cfg.Workers + be.cfg.QueueDepth
+		be.cfg.Engine.SetFaultHook(func() error {
+			entered <- struct{}{}
+			<-release
+			return nil
+		})
+	}
+
+	req := placementRequest()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	statuses := make(chan int, capacity)
+	for i := 0; i < capacity; i++ {
+		go func() {
+			resp, err := http.Post(url+"/v1/scenarios", "application/json", bytes.NewReader(body))
+			if err != nil {
+				statuses <- -1
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			statuses <- resp.StatusCode
+		}()
+	}
+	for held := 0; held < capacity; {
+		select {
+		case <-entered:
+			held++
+		case st := <-statuses:
+			t.Fatalf("a revaluation finished with status %d before all %d slots were held", st, capacity)
+		}
+	}
+
+	resp, out := postJSON(t, url+"/v1/scenarios", req)
+	unblock()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("status %d with every slot held, want 429: %s", resp.StatusCode, out)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("429 without Retry-After")
+	}
+	for i := 0; i < capacity; i++ {
+		if st := <-statuses; st != http.StatusOK {
+			t.Errorf("held revaluation finished with status %d, want 200", st)
+		}
+	}
 }

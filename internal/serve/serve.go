@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,11 +54,6 @@ type Config struct {
 	// SolverWorkers bounds concurrency inside /v1/volcurve implied-vol
 	// solves (default GOMAXPROCS).
 	SolverWorkers int
-	// ScenarioConcurrency bounds concurrent /v1/scenarios revaluations;
-	// beyond it requests get 429 (default 2). Each revaluation already
-	// saturates an engine's batch workers, so the bound is a count of
-	// engines worth of standing load, not a request rate.
-	ScenarioConcurrency int
 	// PriceFunc overrides the pricing kernel, for tests that need a slow
 	// or failing engine. The default prices on the double-precision
 	// reference lattice at Steps depth.
@@ -110,9 +107,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
-	if c.ScenarioConcurrency <= 0 {
-		c.ScenarioConcurrency = 2
-	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = time.Millisecond
 	}
@@ -145,15 +139,12 @@ type Server struct {
 
 	cache     *lru[Key, float64]
 	scenarios *lru[string, scenario.Report]
-	// scenarioSem bounds concurrent scenario revaluations; acquisition
-	// is non-blocking (a full semaphore is a 429, not a queue).
-	scenarioSem chan struct{}
-	metrics     *metrics
-	batcher     *batcher
-	backends    []*backend
-	tracer      *telemetry.Tracer // nil-safe: nil is the disabled tracer
-	slomon      *slo.Monitor      // nil-safe: nil is the disabled monitor
-	logger      *slog.Logger      // never nil: obslog.Or substitutes Nop
+	metrics   *metrics
+	batcher   *batcher
+	backends  []*backend
+	tracer    *telemetry.Tracer // nil-safe: nil is the disabled tracer
+	slomon    *slo.Monitor      // nil-safe: nil is the disabled monitor
+	logger    *slog.Logger      // never nil: obslog.Or substitutes Nop
 
 	queued  atomic.Int64 // admitted, not yet completed
 	closed  atomic.Bool
@@ -193,11 +184,10 @@ func New(cfg Config) (*Server, error) {
 		// The scenario cache shares the contract cache's on/off switch:
 		// a server that must not serve memoised prices must not serve
 		// memoised revaluations either.
-		scenarios:   newLRU[string, scenario.Report](scenarioCacheCapFor(cfg.CacheSize)),
-		scenarioSem: make(chan struct{}, cfg.ScenarioConcurrency),
-		tracer:      cfg.Tracer,
-		logger:      obslog.Or(cfg.Logger),
-		aborted:     make(chan struct{}),
+		scenarios: newLRU[string, scenario.Report](scenarioCacheCapFor(cfg.CacheSize)),
+		tracer:    cfg.Tracer,
+		logger:    obslog.Or(cfg.Logger),
+		aborted:   make(chan struct{}),
 	}
 	if cfg.Node != "" {
 		s.logger = s.logger.With(obslog.KeyNode, cfg.Node)
@@ -358,6 +348,82 @@ func (p PhaseBreakdown) ServerTiming() string {
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	return fmt.Sprintf("batch;dur=%.3f, queue;dur=%.3f, compute;dur=%.3f, readback;dur=%.3f, priced;dur=%d, joules;dur=%.9g",
 		ms(p.Batch), ms(p.Queue), ms(p.Compute), ms(p.Readback), p.Priced, p.Joules)
+}
+
+// ParseServerTiming reads a Server-Timing header back into the phase
+// breakdown the server rendered it from — the inverse of
+// PhaseBreakdown.ServerTiming. The cluster router uses it to merge the
+// phase accounting of sub-batches fanned out across nodes into one
+// fleet-level header, and loadgen to aggregate it across requests.
+//
+// It follows the header's grammar rather than the exact string the
+// server emits: entries split on ",", parameters on ";", and the dur
+// parameter may sit anywhere among other parameters
+// ("compute;desc=fpga;dur=10"). Unknown metrics, unknown parameters and
+// malformed values — unparseable, negative, non-finite or out of
+// range — are skipped (proxies append their own entries; newer
+// servers add metrics older clients haven't heard of); the error fires
+// only when a non-empty header yields no recognised metric at all,
+// which means the peer is not speaking this protocol.
+func ParseServerTiming(header string) (PhaseBreakdown, error) {
+	var p PhaseBreakdown
+	recognised := 0
+	for _, entry := range strings.Split(header, ",") {
+		params := strings.Split(entry, ";")
+		var dur string
+		found := false
+		for _, param := range params[1:] {
+			if k, v, ok := strings.Cut(param, "="); ok && strings.TrimSpace(k) == "dur" {
+				dur, found = strings.TrimSpace(v), true
+				break
+			}
+		}
+		if !found {
+			continue
+		}
+		// Every metric is a non-negative duration, count or energy.
+		// Past 2^53 ns (about 104 days) a float64 no longer holds every
+		// nanosecond, so larger values could not round-trip; negative,
+		// non-finite or larger values are malformed.
+		v, err := strconv.ParseFloat(dur, 64)
+		ns := v * float64(time.Millisecond)
+		if err != nil || !(v >= 0) || ns >= 1<<53 {
+			continue
+		}
+		switch strings.TrimSpace(params[0]) {
+		case "batch":
+			p.Batch = time.Duration(ns)
+		case "queue":
+			p.Queue = time.Duration(ns)
+		case "compute":
+			p.Compute = time.Duration(ns)
+		case "readback":
+			p.Readback = time.Duration(ns)
+		case "priced":
+			p.Priced = int(v)
+		case "joules":
+			// The dur= slot carries joules directly; the metric name,
+			// not the slot, fixes the unit (see ServerTiming).
+			p.Joules = v
+		default:
+			continue
+		}
+		recognised++
+	}
+	if recognised == 0 {
+		return PhaseBreakdown{}, fmt.Errorf("serve: no recognised metrics in Server-Timing %q", header)
+	}
+	return p, nil
+}
+
+// Add accumulates another breakdown into p.
+func (p *PhaseBreakdown) Add(o PhaseBreakdown) {
+	p.Batch += o.Batch
+	p.Queue += o.Queue
+	p.Compute += o.Compute
+	p.Readback += o.Readback
+	p.Priced += o.Priced
+	p.Joules += o.Joules
 }
 
 // PriceOptions prices a slice of contracts through the full serving path:

@@ -198,85 +198,85 @@ func TestServerTimingHeader(t *testing.T) {
 			t.Errorf("Server-Timing %q missing %q", header, metric)
 		}
 	}
-	got, _ := parseServerTiming(header)
-	if got.priced != 1 {
-		t.Errorf("parsed priced = %d from %q", got.priced, header)
+	got, err := ParseServerTiming(header)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.batch+got.queue+got.compute+got.readback <= 0 {
+	if got.Priced != 1 {
+		t.Errorf("parsed priced = %d from %q", got.Priced, header)
+	}
+	if got.Batch+got.Queue+got.Compute+got.Readback <= 0 {
 		t.Errorf("parsed empty phase sums from %q", header)
 	}
-	if got.joules <= 0 {
+	if got.Joules <= 0 {
 		t.Errorf("parsed no joules from %q", header)
 	}
 }
 
+// serverTimingCases are hand-built, foreign and malformed headers with
+// the breakdown ParseServerTiming must read from each; wantErr marks the
+// headers with no recognised metric at all. FuzzParseServerTiming seeds
+// its corpus from them.
+var serverTimingCases = []struct {
+	name    string
+	header  string
+	want    PhaseBreakdown
+	wantErr bool
+}{
+	{
+		name:   "full header",
+		header: "batch;dur=1.500, queue;dur=0.250, compute;dur=10.000, readback;dur=0.125, priced;dur=4, joules;dur=0.0625",
+		want: PhaseBreakdown{
+			Batch: 1500 * time.Microsecond, Queue: 250 * time.Microsecond,
+			Compute: 10 * time.Millisecond, Readback: 125 * time.Microsecond,
+			Priced: 4, Joules: 0.0625,
+		},
+	},
+	{
+		name:   "pre-joules server",
+		header: "batch;dur=1, queue;dur=1, compute;dur=1, readback;dur=1, priced;dur=2",
+		want: PhaseBreakdown{
+			Batch: time.Millisecond, Queue: time.Millisecond,
+			Compute: time.Millisecond, Readback: time.Millisecond, Priced: 2,
+		},
+	},
+	{
+		name:   "unknown metrics and extra params tolerated",
+		header: `cdn;desc="edge cache";dur=3, compute;desc=fpga;dur=10, gc;dur=0.1, joules;dur=0.5`,
+		want:   PhaseBreakdown{Compute: 10 * time.Millisecond, Joules: 0.5},
+	},
+	{
+		name:   "whitespace and reordered dur param",
+		header: "  batch ; desc=x ; dur= 2.0 ,joules;dur=1e-3",
+		want:   PhaseBreakdown{Batch: 2 * time.Millisecond, Joules: 1e-3},
+	},
+	{name: "empty", header: "", wantErr: true},
+	{name: "garbage", header: "garbage", wantErr: true},
+	{name: "no dur params", header: "a=b;c=d, batch;desc=x", wantErr: true},
+	{name: "malformed dur value skipped", header: "batch;dur=abc, queue;dur=0.5", want: PhaseBreakdown{Queue: 500 * time.Microsecond}},
+	{name: "truncated entry", header: "batch;dur=1.5, compute;du", want: PhaseBreakdown{Batch: 1500 * time.Microsecond}},
+	{name: "dangling separators", header: ",,;;dur=,batch;dur=1", want: PhaseBreakdown{Batch: time.Millisecond}},
+	{name: "negative and non-finite values skipped", header: "batch;dur=-0.0002, queue;dur=NaN, joules;dur=+Inf, compute;dur=2", want: PhaseBreakdown{Compute: 2 * time.Millisecond}},
+	// 2^53 ns is the largest duration a float64 millisecond count
+	// carries to the nanosecond; beyond it the header cannot round-trip.
+	{name: "out-of-range values skipped", header: "batch;dur=4069807977388.2207, priced;dur=1e19, readback;dur=1", want: PhaseBreakdown{Readback: time.Millisecond}},
+}
+
 // TestParseServerTiming covers the parser against hand-built, foreign
-// and malformed headers — loadgen must never crash on a proxy-mangled
-// one, and must keep working against servers that add metrics it
-// doesn't know (or lack ones it does).
+// and malformed headers — loadgen and the router must never crash on a
+// proxy-mangled one, and must keep working against servers that add
+// metrics they don't know (or lack ones they do).
 func TestParseServerTiming(t *testing.T) {
-	cases := []struct {
-		name   string
-		header string
-		want   phaseSums
-		wantN  int
-	}{
-		{
-			name:   "full header",
-			header: "batch;dur=1.500, queue;dur=0.250, compute;dur=10.000, readback;dur=0.125, priced;dur=4, joules;dur=0.0625",
-			want: phaseSums{
-				batch: 1500 * time.Microsecond, queue: 250 * time.Microsecond,
-				compute: 10 * time.Millisecond, readback: 125 * time.Microsecond,
-				priced: 4, joules: 0.0625,
-			},
-			wantN: 6,
-		},
-		{
-			name:   "pre-joules server",
-			header: "batch;dur=1, queue;dur=1, compute;dur=1, readback;dur=1, priced;dur=2",
-			want: phaseSums{
-				batch: time.Millisecond, queue: time.Millisecond,
-				compute: time.Millisecond, readback: time.Millisecond, priced: 2,
-			},
-			wantN: 5,
-		},
-		{
-			name:   "unknown metrics and extra params tolerated",
-			header: `cdn;desc="edge cache";dur=3, compute;desc=fpga;dur=10, gc;dur=0.1, joules;dur=0.5`,
-			want:   phaseSums{compute: 10 * time.Millisecond, joules: 0.5},
-			wantN:  2,
-		},
-		{
-			name:   "whitespace and reordered dur param",
-			header: "  batch ; desc=x ; dur= 2.0 ,joules;dur=1e-3",
-			want:   phaseSums{batch: 2 * time.Millisecond, joules: 1e-3},
-			wantN:  2,
-		},
-		{name: "empty", header: "", wantN: 0},
-		{name: "garbage", header: "garbage", wantN: 0},
-		{name: "no dur params", header: "a=b;c=d, batch;desc=x", wantN: 0},
-		{name: "malformed dur value skipped", header: "batch;dur=abc, queue;dur=0.5", want: phaseSums{queue: 500 * time.Microsecond}, wantN: 1},
-		{name: "truncated entry", header: "batch;dur=1.5, compute;du", want: phaseSums{batch: 1500 * time.Microsecond}, wantN: 1},
-		{name: "dangling separators", header: ",,;;dur=,batch;dur=1", want: phaseSums{batch: time.Millisecond}, wantN: 1},
-	}
-	for _, c := range cases {
+	for _, c := range serverTimingCases {
 		t.Run(c.name, func(t *testing.T) {
-			got, n := parseServerTiming(c.header)
-			if got != c.want {
-				t.Errorf("parseServerTiming(%q) = %+v, want %+v", c.header, got, c.want)
-			}
-			if n != c.wantN {
-				t.Errorf("recognised %d entries in %q, want %d", n, c.header, c.wantN)
-			}
-			bd, err := ParseServerTiming(c.header)
-			if c.wantN == 0 {
-				if err == nil {
-					t.Errorf("ParseServerTiming(%q) accepted a header with no recognised metrics", c.header)
-				}
-			} else if err != nil {
+			got, err := ParseServerTiming(c.header)
+			switch {
+			case c.wantErr && err == nil:
+				t.Errorf("ParseServerTiming(%q) = %+v, accepted a header with no recognised metrics", c.header, got)
+			case !c.wantErr && err != nil:
 				t.Errorf("ParseServerTiming(%q) rejected a parseable header: %v", c.header, err)
-			} else if bd.Joules != c.want.joules || bd.Priced != int(c.want.priced) {
-				t.Errorf("ParseServerTiming(%q) = %+v, want joules %v priced %d", c.header, bd, c.want.joules, c.want.priced)
+			case got != c.want:
+				t.Errorf("ParseServerTiming(%q) = %+v, want %+v", c.header, got, c.want)
 			}
 		})
 	}
