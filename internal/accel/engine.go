@@ -204,10 +204,12 @@ func newHostEngine(desc Description, est perf.Estimate, steps int) (*Engine, err
 
 // verifyQuadParity extends the construction-time parity guarantee to
 // the interleaved batch path: the quad sweep must reproduce the scalar
-// host lattice bit for bit on the probe chain before the engine is
-// allowed to serve batches through it. Depth is capped like the kernel
-// probe; the quad kernels have no depth-dependent branches, so a few
-// hundred steps exercise every path.
+// host lattice bit for bit on two probe loads before the engine is
+// allowed to serve batches through it — the mixed-right probe chain,
+// which sweeps the full triangle, and an all-put quad, which bounds its
+// sweep by the zero wedge. Depth is capped like the kernel probe; the
+// quad kernels have no depth-dependent branches, so a few hundred steps
+// exercise every path.
 func verifyQuadParity(name string, steps int) error {
 	depth := steps
 	if depth > maxProbeSteps {
@@ -217,25 +219,35 @@ func verifyQuadParity(name string, steps int) error {
 	if err != nil {
 		return fmt.Errorf("accel: %s: quad probe: %w", name, err)
 	}
-	chain := probeChain()
-	want := make([]float64, len(chain))
-	for i, o := range chain {
-		if want[i], err = ref.Price(o); err != nil {
-			return fmt.Errorf("accel: %s: quad probe reference: %w", name, err)
-		}
-	}
 	qp := ref.NewQuadPlan()
-	if err := qp.Load(chain); err != nil {
-		return fmt.Errorf("accel: %s: quad probe: %w", name, err)
-	}
-	got := qp.Exec()
-	for i := range chain {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			return fmt.Errorf("accel: %s: quad/scalar parity violation (probe depth %d, option %d): quad %v (%#x) vs scalar %v (%#x)",
-				name, depth, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+	for _, chain := range [][]option.Option{probeChain(), wedgeProbe()} {
+		if err := qp.Load(chain); err != nil {
+			return fmt.Errorf("accel: %s: quad probe: %w", name, err)
+		}
+		got := qp.Exec()
+		for i, o := range chain {
+			want, err := ref.Price(o)
+			if err != nil {
+				return fmt.Errorf("accel: %s: quad probe reference: %w", name, err)
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				return fmt.Errorf("accel: %s: quad/scalar parity violation (probe depth %d, %v): quad %v (%#x) vs scalar %v (%#x)",
+					name, depth, o, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+			}
 		}
 	}
 	return nil
+}
+
+// wedgeProbe is the quad probe's all-put load: an out-of-the-money
+// American put and a European put. Both top leaves, S·u^n >= S·e^(σ√T),
+// are out of the money at any depth, so the quad's zero wedge is never
+// empty.
+func wedgeProbe() []option.Option {
+	return []option.Option{
+		{Right: option.Put, Style: option.American, Spot: 100, Strike: 90, Rate: 0.03, Sigma: 0.25, T: 0.75},
+		{Right: option.Put, Style: option.European, Spot: 100, Strike: 110, Rate: 0.02, Div: 0.01, Sigma: 0.3, T: 1},
+	}
 }
 
 // quadGroupCounters models one interleaved quad group from the

@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"fmt"
+	"math"
 
 	"binopt/internal/option"
 )
@@ -14,7 +15,9 @@ import (
 // contracts. Each lane runs exactly the scalar reference's operation
 // sequence in the engine's working precision, so the quad results are
 // bit-identical to Plan.Exec — the parity sweep in quad_test.go pins
-// that across rights, styles, depths, precisions and leaf modes.
+// that across rights, styles, depths, precisions and leaf modes. An
+// all-put quad leaves out the nodes that provably stay +0 (sweepBound),
+// which the reference would compute as +0 as well.
 //
 // The sweep also leaves every lane's node values at time levels 0–2 in
 // a fixed array on the plan, bit-identical to Plan.ExecRetain's: the
@@ -43,6 +46,15 @@ type QuadPlan struct {
 	// levels holds each lane's retained levels after Exec, packed level
 	// by level: V(0,0), V(1,0), V(1,1), V(2,0), V(2,1), V(2,2).
 	levels [4][retainedNodes]float64
+
+	// wedge reports whether this quad may bound its sweep by zero, the
+	// lowest column from which every lane holds exactly +0 at the
+	// current level (see sweepBound); zero is n+1 while no such column
+	// is known. visits counts the columns the sweeps have reduced, over
+	// the plan's lifetime.
+	wedge  bool
+	zero   int
+	visits int
 }
 
 // retainedLevels is how many time levels a sweep leaves on the plan
@@ -115,7 +127,47 @@ func (q *QuadPlan) load(opts []option.Option) (int, error) {
 			q.steps[k*4+i] = q.steps[k*4]
 		}
 	}
+	q.wedge = q.wedgeSafe()
+	q.zero = n + 1
+	q.shrinkZero(n)
 	return 0, nil
+}
+
+// wedgeSafe reports whether the zero-wedge bound is exact for the
+// loaded quad: every lane is a put with finite positive discounted
+// probabilities, and every American lane steps its ladder up by a
+// finite factor invD >= 1. The proof in sweepBound needs each of these;
+// a non-finite pu or pd, for one, makes the reference compute
+// Inf*0 = NaN on a zero child.
+func (q *QuadPlan) wedgeSafe() bool {
+	for i := range 4 {
+		pu, pd, iv := q.pu[i], q.pd[i], q.invD[i]
+		if q.isCall[i] || !(pu > 0 && pu <= math.MaxFloat64) || !(pd > 0 && pd <= math.MaxFloat64) {
+			return false
+		}
+		if q.american[i] && !(iv >= 1 && iv <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
+}
+
+// shrinkZero lowers zero past every column of level t (columns [0, t])
+// whose four lanes all hold exactly +0, given that the columns from
+// zero up already do. It does nothing when the bound is off.
+func (q *QuadPlan) shrinkZero(t int) {
+	if !q.wedge {
+		return
+	}
+	z := min(q.zero, t+1)
+	for z > 0 {
+		r := q.steps[(z-1)*4 : z*4 : z*4]
+		if math.Float64bits(r[0])|math.Float64bits(r[1])|math.Float64bits(r[2])|math.Float64bits(r[3]) != 0 {
+			break
+		}
+		z--
+	}
+	q.zero = z
 }
 
 // Exec runs the straight interleaved sweep and returns the four lane
@@ -145,13 +197,43 @@ func (q *QuadPlan) retain(t int) {
 	}
 }
 
+// sweepBound returns the end of level t's run, [0, hi): the level's
+// columns [0, t] cut off at zero. The columns from zero up are the
+// quad's zero wedge — for puts, the far out-of-the-money nodes at high
+// k — and skipping them leaves every result bit-identical to the
+// scalar reference, under the preconditions wedgeSafe checks:
+//
+//   - a node whose two children are +0 continues at
+//     rnd(rnd(pu·0) + rnd(pd·0)) = +0 for finite positive pu, pd;
+//   - an American put lane never exercises it. A zero node has
+//     moneyness dd = rnd(strike − s) <= 0, i.e. s >= strike (rounding
+//     is monotone and a difference of distinct floats never rounds to
+//     zero; a NaN s is never exercised at all), and every later ladder
+//     step rnd(s·invD) with invD >= 1 keeps s >= strike, again by
+//     monotone rounding. The skipped ladder columns are therefore never
+//     read: column zero is read only as the up-child of zero−1, through
+//     its value;
+//   - float32 rounding is monotone and sign-preserving too, so the same
+//     holds in single precision.
+//
+// A skipped node keeps the +0 it held when it entered the wedge, which
+// is its true value, so the retained levels 0–2 read from the buffer
+// stay exact. Calls are excluded: their zero wedge sits at low k, where
+// every level's ladder chain must keep updating.
+func (q *QuadPlan) sweepBound(t int) int {
+	hi := min(t+1, q.zero)
+	q.visits += hi
+	return hi
+}
+
 // sweepDouble is the double-precision interleaved backward sweep: each
-// level is one contiguous run over columns [0, t].
+// level is one contiguous run over columns [0, sweepBound(t)).
 //
 //binopt:kernel quad interleaved backward sweep (double precision)
 func (q *QuadPlan) sweepDouble() {
 	for t := q.n - 1; t >= 0; t-- {
-		q.runDouble(q.steps, q.ladder, 0, t+1)
+		q.runDouble(q.steps, q.ladder, 0, q.sweepBound(t))
+		q.shrinkZero(t)
 		if t < retainedLevels {
 			q.retain(t)
 		}
@@ -164,7 +246,8 @@ func (q *QuadPlan) sweepDouble() {
 //binopt:kernel quad interleaved backward sweep (single precision)
 func (q *QuadPlan) sweepSingle() {
 	for t := q.n - 1; t >= 0; t-- {
-		q.runSingle(q.steps, q.ladder, 0, t+1)
+		q.runSingle(q.steps, q.ladder, 0, q.sweepBound(t))
+		q.shrinkZero(t)
 		if t < retainedLevels {
 			q.retain(t)
 		}
