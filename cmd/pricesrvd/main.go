@@ -41,7 +41,7 @@
 //	loadgen -chaos -target 0
 //
 // SIGINT/SIGTERM drain gracefully: the listener stops, the batching
-// queue flushes, and every admitted option completes before exit.
+// buffer flushes, and every admitted option completes before exit.
 package main
 
 import (
@@ -73,7 +73,6 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		steps     = flag.Int("steps", 1024, "binomial tree depth (the paper evaluates at 1024)")
 		maxBatch  = flag.Int("max-batch", 64, "micro-batch size trigger (options per flush)")
-		flushMs   = flag.Duration("flush", 2*time.Millisecond, "micro-batch deadline trigger")
 		queue     = flag.Int("queue-depth", 8192, "max admitted options before 429")
 		cacheSize = flag.Int("cache", 65536, "LRU result cache capacity (negative disables)")
 		drain     = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
@@ -105,7 +104,7 @@ func main() {
 	}
 
 	cfg := serverConfig{
-		addr: *addr, steps: *steps, maxBatch: *maxBatch, flush: *flushMs,
+		addr: *addr, steps: *steps, maxBatch: *maxBatch,
 		queue: *queue, cacheSize: *cacheSize, drain: *drain,
 		trace: *trace, traceBuf: *traceBuf, debugAddr: *debugAddr, node: *node,
 		sloOn: *sloOn, sloLatency: *sloLatency, logLevel: *logLevel,
@@ -137,7 +136,6 @@ type serverConfig struct {
 	addr      string
 	steps     int
 	maxBatch  int
-	flush     time.Duration
 	queue     int
 	cacheSize int
 	drain     time.Duration
@@ -252,13 +250,12 @@ func run(cfg serverConfig) error {
 		}
 	}
 	srv, err := serve.New(serve.Config{
-		Steps:         cfg.steps,
-		MaxBatch:      cfg.maxBatch,
-		FlushInterval: cfg.flush,
-		QueueDepth:    cfg.queue,
-		CacheSize:     cfg.cacheSize,
-		Backends:      backends,
-		MaxAttempts:   cfg.maxAttempts,
+		Steps:       cfg.steps,
+		MaxBatch:    cfg.maxBatch,
+		QueueDepth:  cfg.queue,
+		CacheSize:   cfg.cacheSize,
+		Backends:    backends,
+		MaxAttempts: cfg.maxAttempts,
 		Breaker: serve.BreakerConfig{
 			Threshold: cfg.brThreshold,
 			Cooldown:  cfg.brCooldown,
@@ -278,8 +275,8 @@ func run(cfg serverConfig) error {
 	httpSrv := &http.Server{Addr: cfg.addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("pricesrvd: listening on %s (steps=%d, max-batch=%d, flush=%s, queue=%d, cache=%d, trace=%v)",
-			cfg.addr, cfg.steps, cfg.maxBatch, cfg.flush, cfg.queue, cfg.cacheSize, cfg.trace)
+		log.Printf("pricesrvd: listening on %s (steps=%d, max-batch=%d, queue=%d, cache=%d, trace=%v)",
+			cfg.addr, cfg.steps, cfg.maxBatch, cfg.queue, cfg.cacheSize, cfg.trace)
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 			return

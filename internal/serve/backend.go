@@ -135,6 +135,30 @@ func (be *backend) drainScore() float64 {
 	return float64(be.pending.Load()+1) / rate
 }
 
+// submit hands one request's cache misses to the batcher and
+// dispatches what it releases: every full chunk, and the remainder
+// when a placement candidate has an idle worker.
+func (s *Server) submit(jobs []*job) error {
+	batches, err := s.batcher.add(jobs)
+	if err != nil {
+		return err
+	}
+	for _, batch := range batches {
+		s.dispatchBatch(batch)
+	}
+	return nil
+}
+
+// kick follows every release of a shard slot: it hands the batcher's
+// oldest buffered chunk, if any, to placement. Its callers — a batch
+// worker, a finished revaluation — free their slot first, which is what
+// makes the batcher's idle trigger lose no wakeup.
+func (s *Server) kick() {
+	if batch := s.batcher.next(); batch != nil {
+		s.dispatchBatch(batch)
+	}
+}
+
 // dispatchBatch routes one freshly flushed batch into the pool.
 func (s *Server) dispatchBatch(batch []*job) {
 	if len(batch) == 0 {
@@ -148,21 +172,18 @@ func (s *Server) dispatchBatch(batch []*job) {
 	s.dispatch(batch, nil)
 }
 
-// place is the pool's one placement policy, shared by contract batches
-// and scenario revaluations. The candidates are the breaker-eligible
-// shards minus `exclude` (the shard a retried attempt just failed on);
-// if the breakers have shed everything, every shard but `exclude` is a
+// idle reports whether the batcher's idle trigger may fire: some shard
+// in place's candidate set has an idle worker.
+func (s *Server) idle() bool {
+	return slices.ContainsFunc(s.candidates(nil), (*backend).idle)
+}
+
+// candidates is place's candidate set: the breaker-eligible shards
+// minus exclude (the shard a retried attempt just failed on). If the
+// breakers have shed everything, every shard but exclude is a
 // candidate again — a fully dark pool should still try rather than
 // park work — and a one-shard pool keeps its only shard.
-//
-// The work is offered to each candidate until take accepts it:
-// energy-first, the lowest-joules shard with an idle worker
-// (take(be, true)), so the cheap devices take the load before a faster,
-// hungrier one is woken; failing that, in modelled-drain-time order,
-// the first shard with room left (take(be, false)). place returns the
-// shard that accepted, or nil when both passes declined, plus the
-// candidates in drain-time order.
-func (s *Server) place(exclude *backend, take func(be *backend, idleOnly bool) bool) (*backend, []*backend) {
+func (s *Server) candidates(exclude *backend) []*backend {
 	cands := make([]*backend, 0, len(s.backends))
 	for _, be := range s.backends {
 		if be != exclude && be.breaker.eligible() {
@@ -179,7 +200,20 @@ func (s *Server) place(exclude *backend, take func(be *backend, idleOnly bool) b
 	if len(cands) == 0 {
 		cands = append(cands, s.backends...)
 	}
+	return cands
+}
 
+// place is the pool's one placement policy, shared by contract batches
+// and scenario revaluations, over the candidates above. The work is
+// offered to each candidate until take accepts it: energy-first, the
+// lowest-joules shard with an idle worker (take(be, true)), so the
+// cheap devices take the load before a faster, hungrier one is woken;
+// failing that, in modelled-drain-time order, the first shard with
+// room left (take(be, false)). place returns the shard that accepted,
+// or nil when both passes declined, plus the candidates in drain-time
+// order.
+func (s *Server) place(exclude *backend, take func(be *backend, idleOnly bool) bool) (*backend, []*backend) {
+	cands := s.candidates(exclude)
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].joules < cands[j].joules })
 	for _, be := range cands {
 		if take(be, true) {
@@ -196,23 +230,33 @@ func (s *Server) place(exclude *backend, take func(be *backend, idleOnly bool) b
 }
 
 // dispatch places a batch on a shard queue through place. If every
-// candidate declines, a select across *every* candidate's queue at
-// once follows, so the batch lands on whichever shard frees up first
-// instead of blocking on one queue chosen from by-then-stale drain
-// scores. The shutdown-abort channel participates in the same select: a
-// send abandoned at shutdown fails the batch's jobs with ErrClosed and
-// rolls back their admission, rather than leaking them (and a pending
-// count) on a queue nobody drains.
-//
-// On that path a shard's pending and inflight counts are booked only
-// once its send is certain, so the abandoned send has nothing to roll
-// back there.
+// candidate declines, the batch waits for a queue in await on its own
+// goroutine: dispatch never blocks, so a batch worker handing on
+// buffered work cannot stall on the queues the workers drain. The
+// waiting goroutine joins the workers' WaitGroup, and its jobs stay
+// admitted, so Close waits for it either way.
 func (s *Server) dispatch(batch []*job, exclude *backend) {
 	be, cands := s.place(exclude, func(be *backend, idleOnly bool) bool { return be.offer(batch, idleOnly) })
-	if be != nil {
-		return
+	if be == nil {
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			s.await(batch, cands)
+		}()
 	}
+}
 
+// await selects across *every* candidate's queue at once, so the batch
+// lands on whichever shard frees up first instead of blocking on one
+// queue chosen from by-then-stale drain scores. The shutdown-abort
+// channel participates in the same select: a send abandoned at shutdown
+// fails the batch's jobs with ErrClosed and rolls back their admission,
+// rather than leaking them (and a pending count) on a queue nobody
+// drains.
+//
+// A shard's pending and inflight counts are booked only once its send
+// is certain, so the abandoned send has nothing to roll back there.
+func (s *Server) await(batch []*job, cands []*backend) {
 	cases := make([]reflect.SelectCase, 0, len(cands)+1)
 	cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(s.aborted)})
 	bv := reflect.ValueOf(batch)
@@ -228,7 +272,7 @@ func (s *Server) dispatch(batch []*job, exclude *backend) {
 		}
 		return
 	}
-	be = cands[chosen-1]
+	be := cands[chosen-1]
 	be.inflight.Add(1)
 	be.pending.Add(int64(len(batch)))
 }
@@ -256,6 +300,11 @@ func (be *backend) reserve(n int64, idleOnly bool) bool {
 func (be *backend) release(n int64) {
 	be.pending.Add(-n)
 	be.inflight.Add(-1)
+}
+
+// idle reports whether one of the shard's workers has nothing to run.
+func (be *backend) idle() bool {
+	return be.inflight.Load() < int64(be.cfg.Workers)
 }
 
 // offer sends batch to the shard's queue without blocking and reports
@@ -292,75 +341,83 @@ func (s *Server) shardKernel(be *backend) (func(option.Option) (float64, error),
 	}
 }
 
-// worker drains batches from one shard until its queue closes. A shard
-// with a platform engine submits every batch, traced or not, to the
-// engine's quad-interleaved batch pricer; a shard without one prices
-// job by job on its kernel. Results are cached, metered, and delivered
-// on each job's buffered channel; failed pricings are metered against
-// the shard's breaker and handed to failover.
+// worker drains batches from one shard until its queue closes. Each
+// batch is priced, then the worker frees its slot and kicks the
+// batcher before it settles a single job: a closed-loop client's next
+// request then finds this shard idle instead of spilling to a dearer
+// one, and work buffered while every worker was busy moves on at once.
+// Settling caches, meters and delivers the results; failed pricings
+// are booked against the shard's breaker and handed to failover.
 func (s *Server) worker(be *backend) {
 	defer s.wg.Done()
 	priceFn, engine := s.shardKernel(be)
 	for batch := range be.jobs {
-		if engine != nil {
-			s.runBatch(be, batch, engine)
-		} else {
-			for _, j := range batch {
-				s.runJob(be, j, priceFn)
-			}
-		}
+		prices, errs := s.price(be, batch, priceFn, engine)
 		be.inflight.Add(-1)
+		s.kick()
+		for i, j := range batch {
+			if errs != nil && errs[i] != nil {
+				s.failJob(be, j, errs[i])
+				continue
+			}
+			s.settle(be, j, prices[i])
+		}
 	}
 }
 
-// runBatch prices one micro-batch as one submission to the shard
-// engine's batch pricer, which sweeps groups of up to four options
-// through one shared quad-interleaved sweep and spreads the groups over
-// GOMAXPROCS goroutines. If the submission fails, a lone job goes
-// straight to failover: there is nothing to isolate, and a re-run would
-// draw the fault hook twice for one attempt. A larger batch re-runs its
-// jobs one by one, so the breaker and failover see exactly which option
-// failed instead of failing the whole batch over.
-func (s *Server) runBatch(be *backend, batch []*job, engine *accel.Engine) {
-	picked := time.Now()
-	opts := make([]option.Option, len(batch))
-	for i, j := range batch {
-		j.picked = picked
-		opts[i] = j.opt
-	}
-	prices, dtr, err := engine.PriceBatchTraced(opts, 0)
-	computed := time.Now()
-	if err != nil {
-		if len(batch) == 1 {
+// price runs one batch on a shard's kernel and returns its prices, plus
+// per-job errors (nil when every job priced). A shard with a platform
+// engine submits the whole batch, traced or not, to the engine's batch
+// pricer, which sweeps groups of up to four options through one shared
+// quad-interleaved sweep and spreads the groups over GOMAXPROCS
+// goroutines; a shard without one prices job by job. If the submission
+// fails, a lone job fails as it stands: there is nothing to isolate,
+// and a re-run would draw the fault hook twice for one attempt. A
+// larger batch re-runs its jobs one by one, still holding the shard's
+// slot, so the breaker and failover see exactly which option failed
+// instead of failing the whole batch over.
+func (s *Server) price(be *backend, batch []*job, priceFn func(option.Option) (float64, error), engine *accel.Engine) ([]float64, []error) {
+	if engine != nil {
+		picked := time.Now()
+		opts := make([]option.Option, len(batch))
+		for i, j := range batch {
+			j.picked = picked
+			opts[i] = j.opt
+		}
+		prices, dtr, err := engine.PriceBatchTraced(opts, 0)
+		computed := time.Now()
+		switch {
+		case err == nil:
+			s.metrics.batchPriced.Add(int64(len(batch)))
+			s.emitComputeSpan(be, batch, picked, computed)
+			s.emitDeviceSpans(batch, dtr)
+			for _, j := range batch {
+				j.computed = computed
+			}
+			return prices, nil
+		case len(batch) == 1:
 			batch[0].computed = computed
-			s.failJob(be, batch[0], err)
-			return
+			return nil, []error{err}
 		}
-		for _, j := range batch {
-			s.runJob(be, j, engine.Price)
-		}
-		return
+		priceFn = engine.Price
 	}
-	s.metrics.batchPriced.Add(int64(len(batch)))
-	s.emitComputeSpan(be, batch, picked, computed)
-	s.emitDeviceSpans(batch, dtr)
+	prices := make([]float64, len(batch))
+	var errs []error
 	for i, j := range batch {
-		j.computed = computed
-		s.settle(be, j, prices[i])
+		j.picked = time.Now()
+		price, err := priceFn(j.opt)
+		j.computed = time.Now()
+		if err != nil {
+			if errs == nil {
+				errs = make([]error, len(batch))
+			}
+			errs[i] = err
+			continue
+		}
+		s.emitComputeSpan(be, batch[i:i+1], j.picked, j.computed)
+		prices[i] = price
 	}
-}
-
-// runJob prices one job on one shard and settles its outcome.
-func (s *Server) runJob(be *backend, j *job, priceFn func(option.Option) (float64, error)) {
-	j.picked = time.Now()
-	price, err := priceFn(j.opt)
-	j.computed = time.Now()
-	if err != nil {
-		s.failJob(be, j, err)
-		return
-	}
-	s.emitComputeSpan(be, []*job{j}, j.picked, j.computed)
-	s.settle(be, j, price)
+	return prices, errs
 }
 
 // settle delivers one priced job: success feeds the breaker, the cache,

@@ -58,96 +58,82 @@ type jobResult struct {
 	err     error
 }
 
-// batcher implements dynamic micro-batching, the same discipline an
-// inference server uses: requests accumulate in a buffer that is flushed
-// to a backend either when it reaches maxBatch options (size trigger) or
-// when the oldest request has waited flushInterval (deadline trigger),
-// whichever comes first. Batching amortises dispatch and models the
-// paper's observation that accelerators only approach peak throughput on
-// grouped workloads (§V-C saturation).
+// batcher implements work-conserving micro-batching. A request's
+// cache misses enter the buffer together; full maxBatch chunks leave at
+// once (size trigger), and the remainder leaves at once when a shard it
+// could be placed on has an idle worker (idle trigger). Otherwise it
+// waits, but only while every such worker is busy: each freed shard
+// slot takes at most one maxBatch chunk of the buffer (next), so
+// buffered work drains at the rate the pool frees capacity, in pieces
+// placement can still spread across shards. Under load this still
+// groups options into shared quad sweeps, the grouped workload on which
+// the paper's accelerators approach peak throughput (§V-C saturation),
+// without ever holding an idle worker back for a timer.
 type batcher struct {
 	maxBatch int
-	interval time.Duration
-	dispatch func([]*job)
+	idle     func() bool // a placement candidate has an idle worker
 
 	mu     sync.Mutex
 	buf    []*job
-	timer  *time.Timer
 	closed bool
 }
 
-func newBatcher(maxBatch int, interval time.Duration, dispatch func([]*job)) *batcher {
-	return &batcher{
-		maxBatch: maxBatch,
-		interval: interval,
-		dispatch: dispatch,
-		buf:      make([]*job, 0, maxBatch),
-	}
+func newBatcher(maxBatch int, idle func() bool) *batcher {
+	return &batcher{maxBatch: maxBatch, idle: idle}
 }
 
-// add enqueues one job. The size trigger flushes inline on the caller's
-// goroutine so backpressure from a full backend propagates naturally to
-// the producer.
-func (b *batcher) add(j *job) error {
+// add buffers one request's cache misses and returns the batches to
+// dispatch now. The append and the idle check share one hold of b.mu,
+// and a slot is always freed before next takes b.mu, so a remainder
+// left buffered here is seen by the next slot release: no wakeup is
+// lost.
+func (b *batcher) add(jobs []*job) ([][]*job, error) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	b.buf = append(b.buf, j)
-	if len(b.buf) >= b.maxBatch {
-		batch := b.take()
-		b.mu.Unlock()
-		b.dispatch(batch)
+	b.buf = append(b.buf, jobs...)
+	var out [][]*job
+	for len(b.buf) >= b.maxBatch {
+		out = append(out, b.take(b.maxBatch))
+	}
+	if len(b.buf) > 0 && b.idle() {
+		out = append(out, b.take(len(b.buf)))
+	}
+	return out, nil
+}
+
+// next detaches at most one maxBatch chunk of buffered jobs, oldest
+// first, for a shard slot that was just freed; nil when none wait.
+func (b *batcher) next() []*job {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.buf) == 0 {
 		return nil
 	}
-	if len(b.buf) == 1 {
-		// First job in an empty buffer arms the deadline trigger.
-		b.timer = time.AfterFunc(b.interval, b.deadlineFlush)
-	}
-	b.mu.Unlock()
-	return nil
+	return b.take(min(len(b.buf), b.maxBatch))
 }
 
-// take detaches the buffer and disarms the timer. Caller holds b.mu.
-func (b *batcher) take() []*job {
-	batch := b.buf
-	b.buf = make([]*job, 0, b.maxBatch)
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
+// take detaches the first n buffered jobs. The capacity cap keeps the
+// batch and the buffer from ever sharing a writable slot. Caller holds
+// b.mu.
+func (b *batcher) take(n int) []*job {
+	batch := b.buf[:n:n]
+	b.buf = b.buf[n:]
 	return batch
 }
 
-// deadlineFlush fires on the timer goroutine. A concurrent size-trigger
-// flush may have emptied the buffer already; the empty check makes the
-// stale fire harmless.
-func (b *batcher) deadlineFlush() {
-	b.mu.Lock()
-	if b.closed || len(b.buf) == 0 {
-		b.mu.Unlock()
-		return
-	}
-	batch := b.take()
-	b.mu.Unlock()
-	b.dispatch(batch)
-}
-
-// close stops accepting work and flushes whatever is buffered, so no
+// close stops accepting work and returns whatever is buffered, so no
 // admitted job is ever dropped during graceful shutdown.
-func (b *batcher) close() {
+func (b *batcher) close() []*job {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
-		return
+		return nil
 	}
 	b.closed = true
-	batch := b.take()
-	b.mu.Unlock()
-	if len(batch) > 0 {
-		b.dispatch(batch)
-	}
+	return b.take(len(b.buf))
 }
 
 // pendingLen reports the number of buffered (not yet flushed) jobs.

@@ -7,11 +7,13 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"binopt/internal/option"
 	"binopt/internal/perf"
+	"binopt/internal/scenario"
 )
 
 // stubEstimate is a synthetic perf row for queue-behaviour tests.
@@ -40,43 +42,111 @@ func stubBackends(workers, queueDepth int) []BackendConfig {
 	}}
 }
 
-// TestFlushOnSize: with a long deadline, the size trigger alone must cut
-// batches of exactly MaxBatch.
-func TestFlushOnSize(t *testing.T) {
-	s, err := New(Config{
-		Steps: 16, MaxBatch: 4, FlushInterval: 10 * time.Second,
-		Backends: stubBackends(1, 8), PriceFunc: stubPrice,
-	})
-	if err != nil {
+// gate is a stub kernel that reports every call on entered, then holds
+// it until step lets one call through or open lets all through, so a
+// test keeps a shard's worker busy for exactly as long as it needs.
+// Deferring open after deferring the server's Close lets a failed test
+// drain instead of hanging.
+type gate struct {
+	entered chan struct{}
+	step    chan struct{}
+	once    sync.Once
+}
+
+func newGate() *gate {
+	// entered holds more reports than any test makes kernel calls, so
+	// reporting a call never blocks the worker.
+	return &gate{entered: make(chan struct{}, 16), step: make(chan struct{})}
+}
+
+func (g *gate) price(o option.Option) (float64, error) {
+	g.entered <- struct{}{}
+	<-g.step
+	return stubPrice(o)
+}
+
+func (g *gate) open() { g.once.Do(func() { close(g.step) }) }
+
+// submitJobs admits one request's worth of cache misses and hands them
+// to the batcher, as PriceOptionsTimed does after its cache pass, so a
+// test sees the batcher's state the moment submit returns. Each done
+// channel holds one result, or none when unbuffered is set: a worker
+// delivering to such a job blocks until the test receives.
+func submitJobs(t *testing.T, s *Server, unbuffered bool, opts ...option.Option) []*job {
+	t.Helper()
+	jobs := newJobs(s, unbuffered, opts...)
+	s.queued.Add(int64(len(jobs)))
+	if err := s.submit(jobs); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close(context.Background())
+	return jobs
+}
 
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := s.PriceOptions(context.Background(), []option.Option{testOption(i)}); err != nil {
-				t.Errorf("price %d: %v", i, err)
-			}
-		}(i)
+// newJobs builds one request's worth of jobs without submitting them.
+func newJobs(s *Server, unbuffered bool, opts ...option.Option) []*job {
+	jobs := make([]*job, len(opts))
+	now := time.Now()
+	for i, o := range opts {
+		done := make(chan jobResult, 1)
+		if unbuffered {
+			done = make(chan jobResult)
+		}
+		jobs[i] = &job{opt: o, key: KeyFor(o, s.cfg.Steps), seq: i, enqueued: now, done: done}
 	}
-	wg.Wait()
+	return jobs
+}
 
-	if n := s.metrics.batchSize.Count(); n != 2 {
-		t.Fatalf("flushed %d batches, want 2 (size-triggered)", n)
-	}
-	if mean := s.metrics.batchSize.Mean(); mean != 4 {
-		t.Fatalf("mean batch size %v, want 4", mean)
+// wantPriced receives every job's result and checks it against the stub
+// kernel.
+func wantPriced(t *testing.T, jobs []*job) {
+	t.Helper()
+	for _, j := range jobs {
+		res := <-j.done
+		want, _ := stubPrice(j.opt)
+		if res.err != nil || res.price != want {
+			t.Errorf("job %v: got (%v, %v), want %v", j.opt, res.price, res.err, want)
+		}
 	}
 }
 
-// TestFlushOnDeadline: a lone request must not wait for company longer
-// than the flush interval.
-func TestFlushOnDeadline(t *testing.T) {
+// TestFlushOnSize: while every worker is busy, singleton requests wait
+// in the buffer, and the size trigger alone cuts them into batches of
+// exactly MaxBatch.
+func TestFlushOnSize(t *testing.T) {
+	g := newGate()
 	s, err := New(Config{
-		Steps: 16, MaxBatch: 1024, FlushInterval: 5 * time.Millisecond,
+		Steps: 16, MaxBatch: 4,
+		Backends: stubBackends(1, 8), PriceFunc: g.price,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	defer g.open()
+
+	jobs := submitJobs(t, s, false, testOption(0))
+	<-g.entered // the shard's only worker is now busy
+	for i := 1; i <= 8; i++ {
+		jobs = append(jobs, submitJobs(t, s, false, testOption(i))...)
+		if got, want := s.batcher.pendingLen(), i%4; got != want {
+			t.Fatalf("after %d busy-time requests the buffer holds %d jobs, want %d", i, got, want)
+		}
+	}
+	if n := s.metrics.batchSize.Count(); n != 3 {
+		t.Fatalf("flushed %d batches, want 3 (the idle-time one, then two size-triggered)", n)
+	}
+	if sum := s.metrics.batchSize.Sum(); sum != 9 {
+		t.Fatalf("flushed %v options, want 1+4+4", sum)
+	}
+	g.open()
+	wantPriced(t, jobs)
+}
+
+// TestFlushWhenIdle: a lone request on a pool with an idle worker
+// leaves the buffer at once — no deadline, no waiting for company.
+func TestFlushWhenIdle(t *testing.T) {
+	s, err := New(Config{
+		Steps: 16, MaxBatch: 1024,
 		Backends: stubBackends(1, 8), PriceFunc: stubPrice,
 	})
 	if err != nil {
@@ -84,22 +154,251 @@ func TestFlushOnDeadline(t *testing.T) {
 	}
 	defer s.Close(context.Background())
 
-	start := time.Now()
-	res, err := s.PriceOptions(context.Background(), []option.Option{testOption(0)})
+	jobs := submitJobs(t, s, false, testOption(0))
+	if n := s.batcher.pendingLen(); n != 0 {
+		t.Fatalf("%d jobs still buffered with the worker idle", n)
+	}
+	if n := s.metrics.batchSize.Count(); n != 1 {
+		t.Fatalf("flushed %d batches, want 1 (idle-triggered)", n)
+	}
+	wantPriced(t, jobs)
+
+	res, err := s.PriceOptions(context.Background(), []option.Option{testOption(1)})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("deadline flush took %s", el)
 	}
 	if res[0].Backend != "stub" {
 		t.Fatalf("backend = %q", res[0].Backend)
 	}
-	if n := s.metrics.batchSize.Count(); n != 1 {
-		t.Fatalf("flushed %d batches, want 1 (deadline-triggered)", n)
+}
+
+// TestRequestLeavesAsOneBatch: a request's misses enter the batcher
+// together, so the idle trigger cannot flush its first miss alone and
+// leave the rest for a later batch.
+func TestRequestLeavesAsOneBatch(t *testing.T) {
+	s, err := New(Config{
+		Steps: 16, MaxBatch: 64,
+		Backends: stubBackends(1, 8), PriceFunc: stubPrice,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mean := s.metrics.batchSize.Mean(); mean != 1 {
-		t.Fatalf("batch size %v, want 1", mean)
+	defer s.Close(context.Background())
+
+	opts := make([]option.Option, 5)
+	for i := range opts {
+		opts[i] = testOption(i)
+	}
+	if _, err := s.PriceOptions(context.Background(), opts); err != nil {
+		t.Fatal(err)
+	}
+	if n, sum := s.metrics.batchSize.Count(), s.metrics.batchSize.Sum(); n != 1 || sum != 5 {
+		t.Fatalf("flushed %d batches of %v options in all, want one batch of 5", n, sum)
+	}
+}
+
+// TestWorkerReleaseFlushesBuffer: work buffered while the only worker
+// is busy leaves on that worker's slot release, before the worker
+// settles the batch it just priced.
+func TestWorkerReleaseFlushesBuffer(t *testing.T) {
+	g := newGate()
+	s, err := New(Config{
+		Steps: 16, MaxBatch: 64,
+		Backends: stubBackends(1, 8), PriceFunc: g.price,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	defer g.open()
+
+	first := submitJobs(t, s, false, testOption(0))
+	<-g.entered
+	waiting := submitJobs(t, s, false, testOption(1))
+	if n := s.batcher.pendingLen(); n != 1 {
+		t.Fatalf("buffer holds %d jobs with the worker busy, want 1", n)
+	}
+	g.step <- struct{}{}
+	wantPriced(t, first)
+	if n := s.batcher.pendingLen(); n != 0 {
+		t.Fatalf("buffer still holds %d jobs after the worker freed its slot", n)
+	}
+	g.open()
+	wantPriced(t, waiting)
+}
+
+// TestRevaluationReleaseFlushesBuffer: a revaluation holds its shard's
+// only slot while it runs; price work buffered meanwhile leaves when
+// the revaluation releases the slot, before the revaluation returns.
+func TestRevaluationReleaseFlushesBuffer(t *testing.T) {
+	const steps = 16
+	bcs, err := DefaultBackends(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := bcs[0]
+	shard.Workers, shard.QueueDepth = 1, 8
+	s, err := New(Config{Steps: steps, Backends: []BackendConfig{shard}, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	g := newGate()
+	defer g.open()
+	var calls atomic.Int64
+	shard.Engine.SetFaultHook(func() error {
+		if calls.Add(1) == 1 {
+			g.entered <- struct{}{}
+			<-g.step
+		}
+		return nil
+	})
+
+	book, shocks, quantiles, err := placementRequest().Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	revalued := make(chan error, 1)
+	go func() {
+		_, _, err := s.revalue(scenario.Request{Book: book, Shocks: shocks, Quantiles: quantiles}, s.logger)
+		revalued <- err
+	}()
+	<-g.entered // the revaluation holds the shard's only slot
+	jobs := submitJobs(t, s, false, testOption(0))
+	if n := s.batcher.pendingLen(); n != 1 {
+		t.Fatalf("buffer holds %d jobs with the revaluation running, want 1", n)
+	}
+	g.open()
+	if err := <-revalued; err != nil {
+		t.Fatal(err)
+	}
+	if n := s.batcher.pendingLen(); n != 0 {
+		t.Fatalf("buffer still holds %d jobs after the revaluation released its slot", n)
+	}
+	ref, err := s.engine.Price(testOption(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := <-jobs[0].done; res.err != nil || res.price != ref {
+		t.Fatalf("buffered job: got (%v, %v), want %v", res.price, res.err, ref)
+	}
+}
+
+// TestAllBreakersOpenStillFlushes: with every breaker open, place falls
+// back to every shard, and so does the idle trigger — a lone request on
+// an idle but fully shed pool still leaves at once.
+func TestAllBreakersOpenStillFlushes(t *testing.T) {
+	s, err := New(Config{
+		Steps: 16, MaxBatch: 64, PriceFunc: stubPrice,
+		Backends: []BackendConfig{
+			{Name: "a", Estimate: stubEstimate(1000), Workers: 1, QueueDepth: 8},
+			{Name: "b", Estimate: stubEstimate(100), Workers: 1, QueueDepth: 8},
+		},
+		Breaker: BreakerConfig{Cooldown: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	for _, be := range s.backends {
+		be.breaker.mu.Lock()
+		be.breaker.trip()
+		be.breaker.mu.Unlock()
+	}
+
+	jobs := submitJobs(t, s, false, testOption(0))
+	if n := s.batcher.pendingLen(); n != 0 {
+		t.Fatalf("%d jobs buffered on an idle pool with every breaker open", n)
+	}
+	wantPriced(t, jobs)
+}
+
+// TestClosedLoopStaysOnCheapShard: a client that sends its next request
+// as soon as the last one answers finds the cheap one-worker shard idle
+// every time, because a worker frees its slot before it delivers any
+// result — so nothing spills to the dearer two-worker shard. The second
+// half pins that ordering directly: while the worker is blocked
+// delivering the second job of a batch, its slot is already free.
+func TestClosedLoopStaysOnCheapShard(t *testing.T) {
+	s, err := New(Config{
+		Steps: 16, MaxBatch: 64, CacheSize: -1, PriceFunc: stubPrice,
+		Backends: []BackendConfig{
+			{Name: "cheap", Estimate: stubEstimate(1000), Workers: 1, QueueDepth: 8},
+			{Name: "dear", Estimate: stubEstimate(100), Workers: 2, QueueDepth: 8},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	cheap := s.backends[0]
+
+	const n = 200
+	for i := 0; i < n; i++ {
+		res, err := s.PriceOptions(context.Background(), []option.Option{testOption(i % 50), testOption(i%50 + 50)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			if r.Backend != "cheap" {
+				t.Fatalf("request %d priced on %s, want cheap", i, r.Backend)
+			}
+		}
+	}
+
+	jobs := newJobs(s, true, testOption(0), testOption(1))
+	s.queued.Add(2)
+	s.dispatchBatch(jobs)
+	<-jobs[0].done // the worker now blocks delivering jobs[1]
+	if got := cheap.inflight.Load(); got != 0 {
+		t.Errorf("cheap shard holds %d slots while settling a priced batch, want 0", got)
+	}
+	<-jobs[1].done
+}
+
+// TestBatcherStress: many concurrent requests on a one-worker shard,
+// with a small batch cap and queue, all complete with the right prices
+// — the buffer, the kicks and the blocked dispatches lose nothing.
+func TestBatcherStress(t *testing.T) {
+	s, err := New(Config{
+		Steps: 16, MaxBatch: 8, CacheSize: -1, PriceFunc: stubPrice,
+		Backends: stubBackends(1, 4),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients, perClient = 32, 25
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < perClient; r++ {
+				opts := make([]option.Option, 1+(c+r)%5)
+				for i := range opts {
+					opts[i] = testOption(c + r + i)
+				}
+				res, err := s.PriceOptions(context.Background(), opts)
+				if err != nil {
+					t.Errorf("client %d request %d: %v", c, r, err)
+					return
+				}
+				for i, o := range opts {
+					if want, _ := stubPrice(o); res[i].Price != want {
+						t.Errorf("client %d request %d contract %d: price %v, want %v", c, r, i, res[i].Price, want)
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if n := s.batcher.pendingLen(); n != 0 {
+		t.Errorf("%d jobs left in the buffer", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 
@@ -109,7 +408,7 @@ func TestFlushOnDeadline(t *testing.T) {
 func TestBackpressure429(t *testing.T) {
 	block := make(chan struct{})
 	s, hs := newTestServer(t, Config{
-		Steps: 16, MaxBatch: 1, FlushInterval: time.Millisecond, QueueDepth: 2,
+		Steps: 16, MaxBatch: 1, QueueDepth: 2,
 		Backends: stubBackends(1, 8),
 		PriceFunc: func(o option.Option) (float64, error) {
 			<-block
@@ -167,7 +466,7 @@ func TestBackpressure429(t *testing.T) {
 // must get ErrBatchTooLarge / HTTP 413 instead of 429 + Retry-After.
 func TestBatchTooLarge413(t *testing.T) {
 	s, hs := newTestServer(t, Config{
-		Steps: 16, MaxBatch: 4, FlushInterval: time.Millisecond, QueueDepth: 3,
+		Steps: 16, MaxBatch: 4, QueueDepth: 3,
 		Backends: stubBackends(1, 8), PriceFunc: stubPrice,
 	})
 
@@ -218,7 +517,7 @@ func TestBatchTooLarge413(t *testing.T) {
 // then refuse new work.
 func TestGracefulShutdownDrains(t *testing.T) {
 	s, err := New(Config{
-		Steps: 16, MaxBatch: 4, FlushInterval: time.Millisecond,
+		Steps: 16, MaxBatch: 4,
 		Backends: stubBackends(2, 8),
 		PriceFunc: func(o option.Option) (float64, error) {
 			time.Sleep(5 * time.Millisecond)
@@ -303,7 +602,7 @@ func TestDispatchSpillsAcrossShards(t *testing.T) {
 		}
 	}
 	s, err := New(Config{
-		Steps: 16, MaxBatch: 1, FlushInterval: time.Millisecond, QueueDepth: 64,
+		Steps: 16, MaxBatch: 1, QueueDepth: 64,
 		Backends: []BackendConfig{
 			{Name: "fast", Estimate: stubEstimate(10000), Workers: 1, QueueDepth: 1, PriceFunc: blocked(fastBusy)},
 			{Name: "slow", Estimate: stubEstimate(10), Workers: 1, QueueDepth: 8, PriceFunc: blocked(nil)},

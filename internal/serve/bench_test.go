@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"binopt/internal/lattice"
 	"binopt/internal/option"
@@ -18,7 +17,7 @@ import (
 // itself.
 func BenchmarkServeBatch(b *testing.B) {
 	s, err := New(Config{
-		Steps: 16, MaxBatch: 64, FlushInterval: 200 * time.Microsecond,
+		Steps: 16, MaxBatch: 64,
 		CacheSize: -1, // disable: measure the queue, not the map
 		Backends:  stubBackends(2, 64),
 		PriceFunc: stubPrice,
@@ -57,7 +56,7 @@ func BenchmarkServeBatchTraced(b *testing.B) {
 				b.Fatal(err)
 			}
 			cfg := Config{
-				Steps: 16, MaxBatch: 64, FlushInterval: 200 * time.Microsecond,
+				Steps: 16, MaxBatch: 64,
 				CacheSize: -1,
 				Backends:  backends,
 			}
@@ -91,7 +90,7 @@ func BenchmarkServeBatchTraced(b *testing.B) {
 // option served straight from the LRU.
 func BenchmarkServeCacheHit(b *testing.B) {
 	s, err := New(Config{
-		Steps: 16, MaxBatch: 64, FlushInterval: 200 * time.Microsecond,
+		Steps: 16, MaxBatch: 64,
 		Backends:  stubBackends(2, 64),
 		PriceFunc: stubPrice,
 	})

@@ -209,7 +209,8 @@ func scenarioCacheCapFor(cacheSize int) int {
 // policy contract batches follow, and returns the report with the shard
 // that priced it (nil for the reference lattice). The revaluation holds
 // a reserve slot on its shard while it runs, so contract dispatch and
-// Retry-After see the load; when no engine shard has a slot left it
+// Retry-After see the load, and kicks the batcher once it releases the
+// slot, as a batch worker does; when no engine shard has a slot left it
 // returns ErrSaturated. A failed attempt is booked the way failJob books
 // one — breaker, shard and node error counters, retry counter — and the
 // revaluation moves to the next shard after retryBackoff, within
@@ -233,6 +234,7 @@ func (s *Server) revalue(req scenario.Request, log *slog.Logger) (scenario.Repor
 		}
 		rep, err := scenario.New(engineOf(be), 0).Revalue(req)
 		be.release(n)
+		s.kick()
 		if err == nil {
 			be.breaker.onSuccess()
 			return rep, be, nil

@@ -37,11 +37,9 @@ type Config struct {
 	// 1024, the paper's evaluation depth).
 	Steps int
 	// MaxBatch is the size trigger of the micro-batching queue (default
-	// 64 options per flush).
+	// 64 options per flush) and the most a freed shard slot takes from
+	// work buffered while every worker was busy.
 	MaxBatch int
-	// FlushInterval is the deadline trigger: the longest a request waits
-	// for co-batched company before being flushed anyway (default 2ms).
-	FlushInterval time.Duration
 	// QueueDepth bounds the total options admitted and not yet priced;
 	// beyond it requests are rejected with ErrSaturated / HTTP 429
 	// (default 8192).
@@ -94,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 8192
@@ -212,7 +207,7 @@ func New(cfg Config) (*Server, error) {
 			return s.tracer.Emitted(), s.tracer.Dropped(), s.tracer.Len()
 		}
 	}
-	s.batcher = newBatcher(cfg.MaxBatch, cfg.FlushInterval, s.dispatchBatch)
+	s.batcher = newBatcher(cfg.MaxBatch, s.idle)
 	for _, be := range s.backends {
 		for w := 0; w < be.cfg.Workers; w++ {
 			s.wg.Add(1)
@@ -491,14 +486,12 @@ func (s *Server) PriceOptionsTimed(ctx context.Context, opts []option.Option) ([
 		return nil, phases, ErrSaturated
 	}
 
-	admitted := 0
-	for _, j := range jobs {
-		if err := s.batcher.add(j); err != nil {
-			// Shutdown raced us: roll back the jobs that never made it in.
-			s.queued.Add(-(n - int64(admitted)))
-			return nil, phases, err
-		}
-		admitted++
+	// All of the request's misses enter the batcher in one call, so the
+	// idle trigger never splits a request across batches.
+	if err := s.submit(jobs); err != nil {
+		// Shutdown raced us: none of the jobs made it in.
+		s.queued.Add(-n)
+		return nil, phases, err
 	}
 
 	// Drain every job's done channel even after a failure: sibling jobs
@@ -637,7 +630,7 @@ func (s *Server) Close(ctx context.Context) error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	s.batcher.close()
+	s.dispatchBatch(s.batcher.close())
 
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()

@@ -34,21 +34,23 @@ func TestChromeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"traceEvents":[` +
-		`{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"device:fpga-ivb"}},` +
-		`{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":1,"args":{"name":"cl queue"}},` +
-		`{"name":"process_name","ph":"M","ts":0,"pid":2,"tid":0,"args":{"name":"host"}},` +
-		`{"name":"thread_name","ph":"M","ts":0,"pid":2,"tid":1,"args":{"name":"backend fpga-ivb"}},` +
-		`{"name":"thread_name","ph":"M","ts":0,"pid":2,"tid":2,"args":{"name":"requests"}},` +
-		`{"name":"ndrange IV.B","ph":"X","ts":1000,"dur":500,"pid":1,"tid":1,"args":{"clock":"device","queued_s":0.001,"req":1}},` +
-		`{"name":"compute","ph":"X","ts":500,"dur":4000,"pid":2,"tid":1,"args":{"backend":"fpga-ivb","clock":"wall","req":1}},` +
-		`{"name":"POST /v1/price","ph":"X","ts":0,"dur":5000,"pid":2,"tid":2,"args":{"clock":"wall","contracts":2,"req":1}},` +
-		`{"name":"batch","ph":"X","ts":100,"dur":400,"pid":2,"tid":2,"args":{"clock":"wall","req":1}}` +
-		`],"displayTimeUnit":"ms"}`
-	if string(got) != want {
-		t.Errorf("golden mismatch:\n got: %s\nwant: %s", got, want)
+	if string(got) != chromeGolden {
+		t.Errorf("golden mismatch:\n got: %s\nwant: %s", got, chromeGolden)
 	}
 }
+
+// chromeGolden is Chrome(fixedSpans()).
+const chromeGolden = `{"traceEvents":[` +
+	`{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"device:fpga-ivb"}},` +
+	`{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":1,"args":{"name":"cl queue"}},` +
+	`{"name":"process_name","ph":"M","ts":0,"pid":2,"tid":0,"args":{"name":"host"}},` +
+	`{"name":"thread_name","ph":"M","ts":0,"pid":2,"tid":1,"args":{"name":"backend fpga-ivb"}},` +
+	`{"name":"thread_name","ph":"M","ts":0,"pid":2,"tid":2,"args":{"name":"requests"}},` +
+	`{"name":"ndrange IV.B","ph":"X","ts":1000,"dur":500,"pid":1,"tid":1,"args":{"clock":"device","queued_s":0.001,"req":1}},` +
+	`{"name":"compute","ph":"X","ts":500,"dur":4000,"pid":2,"tid":1,"args":{"backend":"fpga-ivb","clock":"wall","req":1}},` +
+	`{"name":"POST /v1/price","ph":"X","ts":0,"dur":5000,"pid":2,"tid":2,"args":{"clock":"wall","contracts":2,"req":1}},` +
+	`{"name":"batch","ph":"X","ts":100,"dur":400,"pid":2,"tid":2,"args":{"clock":"wall","req":1}}` +
+	`],"displayTimeUnit":"ms"}`
 
 // TestChromeDeterministic: same spans in a different emission order
 // produce lane assignments independent of that order, and repeated

@@ -16,7 +16,11 @@
 // The tracer itself is a bounded ring: emitting a span is one short
 // mutex hold and one struct copy, old spans are overwritten (and
 // counted) rather than growing memory, and a nil *Tracer is a valid
-// disabled tracer whose every method is a cheap no-op.
+// disabled tracer whose every method is a cheap no-op. The ring keeps
+// each span's attributes as a compact key/value slice rather than the
+// emitter's map, and allocates its slots a chunk at a time as spans
+// first reach them, because the ring's live heap is what the serving
+// process's resident set tracks.
 package telemetry
 
 import (
@@ -96,6 +100,68 @@ type Span struct {
 	Attrs map[string]any
 }
 
+// attr is one retained span attribute.
+type attr struct {
+	key string
+	val any
+}
+
+// slot is one retained span: the Span's fields, except that its
+// Attrs map is kept as attrs, an exact-size slice of the same pairs
+// (nil when Attrs was nil). A serve span's map costs about 350 B live,
+// its slice 32 B per pair, and the ring holds tens of thousands of
+// spans. A slot's attrs are never written after Emit, so readers may
+// expand them outside mu.
+type slot struct {
+	id, req          uint64
+	trace, name      string
+	proc, thread     string
+	start            time.Time
+	dur              time.Duration
+	devStart, devDur float64
+	attrs            []attr
+	clock            Clock
+}
+
+// newSlot compacts an emitted span.
+func newSlot(sp Span) slot {
+	sl := slot{
+		id: sp.ID, req: sp.Req, trace: sp.Trace, name: sp.Name, proc: sp.Proc, thread: sp.Thread,
+		start: sp.Start, dur: sp.Dur, devStart: sp.DevStart, devDur: sp.DevDur, clock: sp.Clock,
+	}
+	if sp.Attrs != nil {
+		sl.attrs = make([]attr, 0, len(sp.Attrs))
+		for k, v := range sp.Attrs {
+			sl.attrs = append(sl.attrs, attr{k, v})
+		}
+	}
+	return sl
+}
+
+// expand rebuilds the span as it was emitted, attribute map included.
+func (sl *slot) expand() Span {
+	sp := Span{
+		ID: sl.id, Req: sl.req, Trace: sl.trace, Name: sl.name, Proc: sl.proc, Thread: sl.thread,
+		Start: sl.start, Dur: sl.dur, DevStart: sl.devStart, DevDur: sl.devDur, Clock: sl.clock,
+	}
+	if sl.attrs != nil {
+		sp.Attrs = make(map[string]any, len(sl.attrs))
+		for _, a := range sl.attrs {
+			sp.Attrs[a.key] = a.val
+		}
+	}
+	return sp
+}
+
+// expandAll rebuilds copied-out slots into spans, outside the ring lock.
+func expandAll(slots []slot) []Span {
+	out := make([]Span, len(slots))
+	for i := range slots {
+		out[i] = slots[i].expand()
+	}
+	return out
+}
+
 // Tracer is a bounded, concurrency-safe span sink. The zero capacity
 // and the nil tracer are both valid: New clamps capacity to at least 1,
 // and every method is nil-safe so call sites need no branching.
@@ -105,13 +171,18 @@ type Tracer struct {
 	emitted  atomic.Int64
 	dropped  atomic.Int64
 
-	mu   sync.Mutex
-	ring []Span
-	// seqs[i] is the emission sequence number of ring[i]: a dense,
-	// monotone counter assigned under mu, the cursor Since paginates
-	// on. Span IDs cannot serve here — Begin assigns them before the
-	// region runs, so emission order and ID order diverge.
-	seqs []uint64
+	mu sync.Mutex
+	// chunks hold the ring's slots, ringChunk to a chunk, each
+	// allocated when emission first reaches it: a large make is
+	// resident at once, so a ring that never fills must not pay for its
+	// whole capacity up front.
+	chunks [][]slot
+	// seq counts emissions under mu: the emission sequence number of
+	// the newest span, and the cursor Since paginates on. Sequence
+	// numbers are dense, so the k-th oldest of L retained spans has
+	// seq-L+1+k and the ring stores none. Span IDs cannot serve here —
+	// Begin assigns them before the region runs, so emission order and
+	// ID order diverge.
 	seq  uint64
 	next int
 	full bool
@@ -122,7 +193,20 @@ func New(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{capacity: capacity, ring: make([]Span, capacity), seqs: make([]uint64, capacity)}
+	return &Tracer{capacity: capacity, chunks: make([][]slot, (capacity+ringChunk-1)/ringChunk)}
+}
+
+// ringChunk is the number of slots the ring allocates at a time.
+const ringChunk = 4096
+
+// at returns ring position i, allocating its chunk on first use; the
+// last chunk holds only the capacity's remainder. Caller holds t.mu.
+func (t *Tracer) at(i int) *slot {
+	c := &t.chunks[i/ringChunk]
+	if *c == nil {
+		*c = make([]slot, min(ringChunk, t.capacity-i/ringChunk*ringChunk))
+	}
+	return &(*c)[i%ringChunk]
 }
 
 // Enabled reports whether spans emitted here are retained. A nil tracer
@@ -156,14 +240,14 @@ func (t *Tracer) Emit(sp Span) {
 	if sp.ID == 0 {
 		sp.ID = t.ids.Add(1)
 	}
+	sl := newSlot(sp)
 	t.emitted.Add(1)
 	t.mu.Lock()
 	if t.full {
 		t.dropped.Add(1)
 	}
 	t.seq++
-	t.seqs[t.next] = t.seq
-	t.ring[t.next] = sp
+	*t.at(t.next) = sl
 	t.next++
 	if t.next == t.capacity {
 		t.next = 0
@@ -208,15 +292,27 @@ func (t *Tracer) Snapshot() []Span {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.full {
-		out := make([]Span, t.next)
-		copy(out, t.ring[:t.next])
-		return out
+	slots := t.after(0)
+	t.mu.Unlock()
+	return expandAll(slots)
+}
+
+// after copies out, in emission order, the retained slots whose
+// sequence numbers exceed cursor. Caller holds t.mu.
+func (t *Tracer) after(cursor uint64) []slot {
+	retained, oldest := t.next, 0
+	if t.full {
+		retained, oldest = t.capacity, t.next
 	}
-	out := make([]Span, 0, t.capacity)
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
+	// The oldest retained slot has sequence number seq-retained+1.
+	skip := 0
+	if first := t.seq - uint64(retained); cursor > first {
+		skip = int(cursor - first)
+	}
+	out := make([]slot, 0, retained-skip)
+	for k := skip; k < retained; k++ {
+		out = append(out, *t.at((oldest + k) % t.capacity))
+	}
 	return out
 }
 
@@ -232,34 +328,29 @@ func (t *Tracer) Since(cursor uint64) (spans []Span, next uint64, missed uint64)
 		return nil, cursor, 0
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	next = t.seq
 	if cursor >= t.seq {
+		t.mu.Unlock()
 		return nil, next, 0
 	}
-	collect := func(i int) {
-		if t.seqs[i] > cursor {
-			spans = append(spans, t.ring[i])
-		}
+	slots := t.after(cursor)
+	t.mu.Unlock()
+	missed = (next - cursor) - uint64(len(slots))
+	if len(slots) > 0 {
+		spans = expandAll(slots)
 	}
-	if t.full {
-		for i := t.next; i < t.capacity; i++ {
-			collect(i)
-		}
-	}
-	for i := 0; i < t.next; i++ {
-		collect(i)
-	}
-	missed = (t.seq - cursor) - uint64(len(spans))
 	return spans, next, missed
 }
 
-// Reset discards the retained spans (counters keep accumulating).
+// Reset discards the retained spans (counters keep accumulating). The
+// chunks are dropped too, so the discarded spans and their attribute
+// values are garbage at once rather than when new spans overwrite them.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
+	clear(t.chunks)
 	t.next = 0
 	t.full = false
 	t.mu.Unlock()

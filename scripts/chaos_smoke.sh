@@ -63,6 +63,22 @@ trap 'cleanup; rm -f "$HEALTH" "$METRICS"' EXIT
 curl -sf "$BASE/healthz" -o "$HEALTH" || fail "GET /healthz"
 curl -sf "$BASE/metrics" -o "$METRICS" || fail "GET /metrics"
 
+# Precondition for every breaker check below: a breaker cannot trip on
+# fewer outcomes than its MinSamples (default 10), so the faulted shard
+# must have priced or failed at least that many options. A placement
+# change that starves gpu-ivb fails here, with this message, rather
+# than as "healthz not degraded".
+FLOOR=10
+echo "chaos_smoke: checking gpu-ivb received work (floor $FLOOR options)"
+python3 - "$HEALTH" "$FLOOR" <<'EOF' || fail "gpu-ivb received too little work for its breaker to trip: $(cat "$HEALTH")"
+import json, sys
+h = json.load(open(sys.argv[1]))
+gpu = {b["name"]: b for b in h["backends"]}["gpu-ivb"]
+seen = gpu.get("priced_options", 0) + gpu.get("price_errors", 0)
+assert seen >= int(sys.argv[2]), f"gpu-ivb priced+failed {seen} options, want >= {sys.argv[2]}"
+print(f"chaos_smoke: gpu-ivb priced+failed {seen} options")
+EOF
+
 echo "chaos_smoke: validating the outage is observable"
 grep -q '"status":"degraded"' "$HEALTH" || fail "healthz not degraded: $(cat "$HEALTH")"
 python3 - "$HEALTH" <<'EOF' || fail "healthz breaker assertions"
