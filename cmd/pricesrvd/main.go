@@ -209,9 +209,6 @@ func checkFaultScopes(inj *faults.Injector, backends []serve.BackendConfig) erro
 // starts with serving, not with construction.
 func armFaults(inj *faults.Injector, backends []serve.BackendConfig) {
 	for _, bc := range backends {
-		if bc.Engine == nil {
-			continue
-		}
 		if h := inj.HookFor(bc.Name); h != nil {
 			bc.Engine.SetFaultHook(h)
 			log.Printf("pricesrvd: chaos: faults armed on %s (spec %q, seed %d)", bc.Name, inj.String(), inj.Seed())

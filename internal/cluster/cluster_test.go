@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"binopt/internal/accel"
 	"binopt/internal/lattice"
 	"binopt/internal/option"
 	"binopt/internal/serve"
@@ -130,21 +131,57 @@ func TestFleetBitIdentical(t *testing.T) {
 	}
 }
 
-// sleepBackend builds a one-worker backend whose pricing takes a fixed
-// wall-time per option and no meaningful CPU. Sleeping nodes do not
-// contend for cores, so node-level parallelism shows through even
-// though all fleet nodes share this process — the test machine stands
-// in for the rack, and the measured speedup is bounded by ring balance
-// alone, not by how many cores CI happens to have.
-func sleepBackend(perOption time.Duration) []serve.BackendConfig {
-	return []serve.BackendConfig{{
-		Name: "simulated-board",
-		Kind: "fpga",
-		PriceFunc: func(o option.Option) (float64, error) {
-			time.Sleep(perOption)
-			return o.Strike - o.Spot, nil // placeholder value, never asserted
-		},
-	}}
+// pacedNode starts one fixed-rate fleet member, torn down with the
+// test: a one-worker fpga-ivb shard behind its own HTTP listener, with
+// node MaxBatch 1 so every option is its own engine submission, and a
+// fault hook that paces those submissions to one per perOption of wall
+// time. The hook sleeps to a schedule rather than for perOption on
+// every call: a 400µs sleep takes about 1.1ms on a 2-core Linux VM, and
+// longer the more goroutines wake between sleeps, so a fixed sleep lets
+// timer granularity, not ring balance, set the speedup. A late wake-up
+// is paid back on the following options instead, and the node's rate
+// stays exact. Pacing costs next to no
+// CPU, so nodes do not contend for cores and node-level parallelism
+// shows through even though every node shares this process — the test
+// machine stands in for the rack. The hook is armed after serve.New,
+// so the parity probe prices clean.
+func pacedNode(t *testing.T, name string, steps int, perOption time.Duration) Node {
+	t.Helper()
+	p, err := accel.Get("fpga-ivb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := p.NewEngine(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{
+		Steps:     steps,
+		MaxBatch:  1,
+		CacheSize: -1, // cold path only: timing must measure pricing
+		Backends:  []serve.BackendConfig{{Name: "simulated-board", Engine: eng}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the node's one worker calls the hook, so next needs no lock.
+	var next time.Time
+	eng.SetFaultHook(func() error {
+		if next.IsZero() {
+			next = time.Now()
+		}
+		next = next.Add(perOption)
+		time.Sleep(time.Until(next))
+		return nil
+	})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Close(ctx)
+	})
+	return Node{Name: name, BaseURL: hs.URL}
 }
 
 // TestFleetScaling holds the near-linear scaling claim: the same chain,
@@ -160,7 +197,9 @@ func TestFleetScaling(t *testing.T) {
 		t.Skip("race-detector overhead drowns the wall-clock measurement; the routing path itself is race-covered by the chaos and bit-identical tests")
 	}
 	const steps = 64
-	const perOption = 400 * time.Microsecond
+	// perOption dwarfs the request's fixed routing and decoding cost, so
+	// the speedup measures ring balance.
+	const perOption = time.Millisecond
 	spec := workload.DefaultVolCurveSpec(11)
 	spec.N = 800
 	chain, err := workload.Chain(spec)
@@ -171,16 +210,11 @@ func TestFleetScaling(t *testing.T) {
 
 	elapsed := make(map[int]time.Duration)
 	for _, n := range []int{1, 2, 4} {
-		nodeCfg := serve.Config{
-			Steps:     steps,
-			CacheSize: -1, // cold path only: timing must measure pricing
-			Backends:  sleepBackend(perOption),
+		nodes := make([]Node, n)
+		for i := range nodes {
+			nodes[i] = pacedNode(t, fmt.Sprintf("node-%d", i), steps, perOption)
 		}
-		f, err := NewLocalFleet(n, nodeCfg)
-		if err != nil {
-			t.Fatalf("fleet(%d): %v", n, err)
-		}
-		rt, err := NewRouter(Config{Nodes: f.Nodes(), Steps: steps})
+		rt, err := NewRouter(Config{Nodes: nodes, Steps: steps})
 		if err != nil {
 			t.Fatalf("router(%d): %v", n, err)
 		}
@@ -202,9 +236,6 @@ func TestFleetScaling(t *testing.T) {
 
 		hs.Close()
 		rt.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		f.Close(ctx)
-		cancel()
 	}
 
 	speedup := func(n int) float64 { return float64(elapsed[1]) / float64(elapsed[n]) }

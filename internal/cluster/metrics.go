@@ -77,7 +77,22 @@ func scrapeNode(ctx context.Context, m *member) nodeScrape {
 		io.Copy(io.Discard, resp.Body)
 		return out
 	}
-	sc := bufio.NewScanner(io.LimitReader(resp.Body, 1<<20))
+	out = parseScrape(resp.Body)
+	out.name = m.name
+	return out
+}
+
+// maxScrapeBytes bounds how much of a member's /metrics page a scrape
+// reads.
+const maxScrapeBytes = 1 << 20
+
+// parseScrape extracts the fleet ingredients from a node /metrics page,
+// reading at most maxScrapeBytes. Comments, blank lines, unparseable
+// values and metrics the roll-up does not use are skipped; ok reports
+// that the page scanned cleanly.
+func parseScrape(r io.Reader) nodeScrape {
+	var out nodeScrape
+	sc := bufio.NewScanner(io.LimitReader(r, maxScrapeBytes))
 	for sc.Scan() {
 		line := sc.Text()
 		if line == "" || strings.HasPrefix(line, "#") {

@@ -385,7 +385,7 @@ func (s *Server) handleVolCurve(w http.ResponseWriter, r *http.Request) {
 	// so they bypass the cache; we still meter them.
 	pf := func(o option.Option) (float64, error) {
 		s.metrics.solverPricings.Add(1)
-		return s.priceFn(o)
+		return s.engine.Price(o)
 	}
 	points, skipped, err := volatility.Curve(quotes, pf, volatility.MethodBrent, s.cfg.SolverWorkers)
 	if err != nil {
@@ -483,16 +483,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		st, opens := be.breaker.snapshot()
 		bs[i] = backendHealth{
 			Name:          be.cfg.Name,
-			Kind:          be.cfg.Kind,
-			OptionsPerSec: be.cfg.Estimate.OptionsPerSec,
-			PowerWatts:    be.cfg.Estimate.PowerWatts,
+			Kind:          be.cfg.Engine.Describe().Kind,
+			OptionsPerSec: be.rate,
+			PowerWatts:    be.cfg.Engine.Estimate().PowerWatts,
 			Pending:       be.pending.Load(),
+			PricedOptions: be.cfg.Engine.PricedOptions(),
 			Breaker:       st.String(),
 			BreakerOpens:  opens,
 			PriceErrors:   be.errs.Load(),
-		}
-		if be.cfg.Engine != nil {
-			bs[i].PricedOptions = be.cfg.Engine.PricedOptions()
 		}
 		// A pool serving around an open breaker is degraded, not down:
 		// clients still get every price, so the HTTP code stays 200 and

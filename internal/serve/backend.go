@@ -11,36 +11,25 @@ import (
 
 	"binopt/internal/accel"
 	"binopt/internal/option"
-	"binopt/internal/perf"
 	"binopt/internal/telemetry"
 )
 
-// BackendConfig describes one pricing shard: a modelled accelerator from
-// the paper's test environment. The estimate drives admission (the
-// cheapest shard per option with an idle worker is offered work first,
-// then the fastest to drain) and the energy accounting (modelled joules
-// per option = power / throughput). When Engine is set the shard
-// executes on that platform's calibrated engine — probed against the real
-// simulated kernel and metering device counters — so results are exact
-// and identical across shards while each shard's substrate activity is
-// accounted separately.
+// BackendConfig describes one pricing shard: a platform engine from the
+// accel registry, a modelled accelerator of the paper's test
+// environment. The shard executes on that engine — probed against the
+// real simulated kernel and metering device counters — so results are
+// exact and identical across shards while each shard's substrate
+// activity is accounted separately. The engine's estimate also drives
+// placement (the cheapest shard per option with an idle worker is
+// offered work first, then the fastest to drain) and the energy
+// accounting (modelled joules per option = power / throughput).
 type BackendConfig struct {
 	// Name labels the shard in responses and metrics; DefaultBackends
 	// uses the accel registry name.
 	Name string
-	// Kind classifies the substrate ("fpga", "gpu", "cpu", "embedded").
-	Kind string
-	// Estimate is the modelled throughput/power row for this device.
-	Estimate perf.Estimate
-	// Engine, when set, prices this shard's work on the platform engine
-	// (bit-identical to the reference lattice, with counter accounting).
-	// When nil the shard prices on the server's reference engine.
+	// Engine prices this shard's work (bit-identical to the reference
+	// lattice, with counter accounting). New rejects a shard without one.
 	Engine *accel.Engine
-	// PriceFunc overrides this shard's kernel alone — the fault-
-	// tolerance tests use it to make exactly one shard misbehave. A
-	// shard with a PriceFunc is skipped by the startup parity check and
-	// has no modelled device timeline.
-	PriceFunc func(option.Option) (float64, error)
 	// Workers is the number of concurrent batch executors (default 1).
 	Workers int
 	// QueueDepth bounds the shard's batch queue (default 32 batches).
@@ -70,13 +59,7 @@ func DefaultBackends(steps int) ([]BackendConfig, error) {
 		if d.Kind == "fpga" || d.Kind == "gpu" {
 			workers = 2
 		}
-		out = append(out, BackendConfig{
-			Name:     d.Name,
-			Kind:     d.Kind,
-			Estimate: eng.Estimate(),
-			Engine:   eng,
-			Workers:  workers,
-		})
+		out = append(out, BackendConfig{Name: d.Name, Engine: eng, Workers: workers})
 	}
 	return out, nil
 }
@@ -87,6 +70,7 @@ type backend struct {
 	cfg    BackendConfig
 	jobs   chan []*job
 	joules float64 // modelled joules per option on this device
+	rate   float64 // modelled options per second on this device
 	// pending counts options dispatched to this shard (a running
 	// revaluation's contracts included) and not yet completed or failed
 	// over; admission reads it to estimate drain time.
@@ -108,17 +92,11 @@ func newBackend(cfg BackendConfig, m *metrics, bcfg BreakerConfig) *backend {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 32
 	}
-	var joules float64
-	switch {
-	case cfg.Engine != nil:
-		joules = cfg.Engine.ModelledJoulesPerOption()
-	case cfg.Estimate.OptionsPerSec > 0:
-		joules = cfg.Estimate.PowerWatts / cfg.Estimate.OptionsPerSec
-	}
 	return &backend{
 		cfg:     cfg,
 		jobs:    make(chan []*job, cfg.QueueDepth),
-		joules:  joules,
+		joules:  cfg.Engine.ModelledJoulesPerOption(),
+		rate:    cfg.Engine.Estimate().OptionsPerSec,
 		priced:  m.backendCounter(cfg.Name),
 		errs:    m.backendErrCounter(cfg.Name),
 		breaker: newBreaker(bcfg),
@@ -128,7 +106,7 @@ func newBackend(cfg BackendConfig, m *metrics, bcfg BreakerConfig) *backend {
 // drainScore estimates how long this shard's backlog takes to clear under
 // its modelled throughput — the admission signal. Lower is better.
 func (be *backend) drainScore() float64 {
-	rate := be.cfg.Estimate.OptionsPerSec
+	rate := be.rate
 	if rate <= 0 {
 		rate = 1
 	}
@@ -323,24 +301,6 @@ func (be *backend) offer(batch []*job, idleOnly bool) bool {
 	}
 }
 
-// shardKernel resolves the pricing function one shard's workers run: a
-// per-shard PriceFunc override first (fault tests), then the server-
-// wide override (stub tests keep their injected kernel), then the
-// shard's platform engine, then the server's reference engine. Only the
-// engine path prices whole batches and has a modelled device timeline.
-func (s *Server) shardKernel(be *backend) (func(option.Option) (float64, error), *accel.Engine) {
-	switch {
-	case be.cfg.PriceFunc != nil:
-		return be.cfg.PriceFunc, nil
-	case s.cfg.PriceFunc != nil:
-		return s.priceFn, nil
-	case be.cfg.Engine != nil:
-		return be.cfg.Engine.Price, be.cfg.Engine
-	default:
-		return s.priceFn, nil
-	}
-}
-
 // worker drains batches from one shard until its queue closes. Each
 // batch is priced, then the worker frees its slot and kicks the
 // batcher before it settles a single job: a closed-loop client's next
@@ -350,9 +310,8 @@ func (s *Server) shardKernel(be *backend) (func(option.Option) (float64, error),
 // are booked against the shard's breaker and handed to failover.
 func (s *Server) worker(be *backend) {
 	defer s.wg.Done()
-	priceFn, engine := s.shardKernel(be)
 	for batch := range be.jobs {
-		prices, errs := s.price(be, batch, priceFn, engine)
+		prices, errs := s.price(be, batch)
 		be.inflight.Add(-1)
 		s.kick()
 		for i, j := range batch {
@@ -365,57 +324,49 @@ func (s *Server) worker(be *backend) {
 	}
 }
 
-// price runs one batch on a shard's kernel and returns its prices, plus
-// per-job errors (nil when every job priced). A shard with a platform
-// engine submits the whole batch, traced or not, to the engine's batch
-// pricer, which sweeps groups of up to four options through one shared
+// price runs one batch on the shard's engine and returns its prices,
+// plus per-job errors (nil when the submission priced). The whole batch,
+// traced or not, is one submission to the engine's batch pricer, which
+// sweeps groups of up to four options through one shared
 // quad-interleaved sweep and spreads the groups over GOMAXPROCS
-// goroutines; a shard without one prices job by job. If the submission
-// fails, a lone job fails as it stands: there is nothing to isolate,
-// and a re-run would draw the fault hook twice for one attempt. A
-// larger batch re-runs its jobs one by one, still holding the shard's
-// slot, so the breaker and failover see exactly which option failed
-// instead of failing the whole batch over.
-func (s *Server) price(be *backend, batch []*job, priceFn func(option.Option) (float64, error), engine *accel.Engine) ([]float64, []error) {
-	if engine != nil {
-		picked := time.Now()
-		opts := make([]option.Option, len(batch))
-		for i, j := range batch {
-			j.picked = picked
-			opts[i] = j.opt
-		}
-		prices, dtr, err := engine.PriceBatchTraced(opts, 0)
-		computed := time.Now()
-		switch {
-		case err == nil:
-			s.metrics.batchPriced.Add(int64(len(batch)))
-			s.emitComputeSpan(be, batch, picked, computed)
-			s.emitDeviceSpans(batch, dtr)
-			for _, j := range batch {
-				j.computed = computed
-			}
-			return prices, nil
-		case len(batch) == 1:
-			batch[0].computed = computed
-			return nil, []error{err}
-		}
-		priceFn = engine.Price
+// goroutines. If the submission fails, a lone job fails as it stands:
+// there is nothing to isolate, and a re-run would draw the fault hook
+// twice for one attempt. A larger batch re-runs its jobs one by one on
+// the engine, still holding the shard's slot, so the breaker and
+// failover see exactly which option failed instead of failing the
+// whole batch over.
+func (s *Server) price(be *backend, batch []*job) ([]float64, []error) {
+	engine := be.cfg.Engine
+	picked := time.Now()
+	opts := make([]option.Option, len(batch))
+	for i, j := range batch {
+		j.picked = picked
+		opts[i] = j.opt
 	}
-	prices := make([]float64, len(batch))
-	var errs []error
+	prices, dtr, err := engine.PriceBatchTraced(opts, 0)
+	computed := time.Now()
+	switch {
+	case err == nil:
+		s.metrics.batchPriced.Add(int64(len(batch)))
+		s.emitComputeSpan(be, batch, picked, computed)
+		s.emitDeviceSpans(batch, dtr)
+		for _, j := range batch {
+			j.computed = computed
+		}
+		return prices, nil
+	case len(batch) == 1:
+		batch[0].computed = computed
+		return nil, []error{err}
+	}
+	prices = make([]float64, len(batch))
+	errs := make([]error, len(batch))
 	for i, j := range batch {
 		j.picked = time.Now()
-		price, err := priceFn(j.opt)
+		prices[i], errs[i] = engine.Price(j.opt)
 		j.computed = time.Now()
-		if err != nil {
-			if errs == nil {
-				errs = make([]error, len(batch))
-			}
-			errs[i] = err
-			continue
+		if errs[i] == nil {
+			s.emitComputeSpan(be, batch[i:i+1], j.picked, j.computed)
 		}
-		s.emitComputeSpan(be, batch[i:i+1], j.picked, j.computed)
-		prices[i] = price
 	}
 	return prices, errs
 }
@@ -592,10 +543,9 @@ func (s *Server) emitDeviceSpans(batch []*job, dtr accel.DeviceTrace) {
 func (s *Server) aggregateRate() float64 {
 	var sum, all float64
 	for _, be := range s.backends {
-		rate := be.cfg.Estimate.OptionsPerSec
-		all += rate
+		all += be.rate
 		if st, _ := be.breaker.snapshot(); st != breakerOpen {
-			sum += rate
+			sum += be.rate
 		}
 	}
 	if sum <= 0 {

@@ -11,15 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"binopt/internal/accel"
 	"binopt/internal/option"
-	"binopt/internal/perf"
 	"binopt/internal/scenario"
 )
-
-// stubEstimate is a synthetic perf row for queue-behaviour tests.
-func stubEstimate(rate float64) perf.Estimate {
-	return perf.Estimate{Platform: "stub", Kernel: "stub", Precision: "double", OptionsPerSec: rate, PowerWatts: 10}
-}
 
 // testOption returns a distinct valid contract per index.
 func testOption(i int) option.Option {
@@ -29,24 +24,29 @@ func testOption(i int) option.Option {
 	}
 }
 
-// stubPrice is an instant pricing kernel for queue-behaviour tests.
-func stubPrice(o option.Option) (float64, error) { return o.Strike - o.Spot + 1, nil }
-
-// stubBackends avoids running the HLS fitter in queue unit tests.
-func stubBackends(workers, queueDepth int) []BackendConfig {
-	return []BackendConfig{{
-		Name:       "stub",
-		Estimate:   stubEstimate(1000),
-		Workers:    workers,
-		QueueDepth: queueDepth,
-	}}
+// testShard builds one shard on a fresh engine of the named registry
+// platform. steps must match the server's Steps, or New's parity probe
+// rejects the shard. At shallow depths fpga-ivb is both the cheaper
+// shard per option and the faster to drain, cpu-ref the dearer and
+// slower one.
+func testShard(t testing.TB, platform string, steps, workers, queueDepth int) BackendConfig {
+	t.Helper()
+	p, err := accel.Get(platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := p.NewEngine(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return BackendConfig{Name: platform, Engine: eng, Workers: workers, QueueDepth: queueDepth}
 }
 
-// gate is a stub kernel that reports every call on entered, then holds
-// it until step lets one call through or open lets all through, so a
-// test keeps a shard's worker busy for exactly as long as it needs.
-// Deferring open after deferring the server's Close lets a failed test
-// drain instead of hanging.
+// gate is a fault hook that reports every batch submission on entered,
+// then holds it until step lets one submission through or open lets all
+// through, so a test keeps a shard's worker busy for exactly as long as
+// it needs. Deferring open after deferring the server's Close lets a
+// failed test drain instead of hanging.
 type gate struct {
 	entered chan struct{}
 	step    chan struct{}
@@ -54,18 +54,29 @@ type gate struct {
 }
 
 func newGate() *gate {
-	// entered holds more reports than any test makes kernel calls, so
-	// reporting a call never blocks the worker.
+	// entered holds more reports than any test makes submissions, so
+	// reporting one never blocks the worker.
 	return &gate{entered: make(chan struct{}, 16), step: make(chan struct{})}
 }
 
-func (g *gate) price(o option.Option) (float64, error) {
+func (g *gate) hook() error {
 	g.entered <- struct{}{}
 	<-g.step
-	return stubPrice(o)
+	return nil
 }
 
 func (g *gate) open() { g.once.Do(func() { close(g.step) }) }
+
+// refPrice is the reference lattice's price of o, which every shard
+// must reproduce bit for bit.
+func refPrice(t testing.TB, s *Server, o option.Option) float64 {
+	t.Helper()
+	want, err := s.engine.Price(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
 
 // submitJobs admits one request's worth of cache misses and hands them
 // to the batcher, as PriceOptionsTimed does after its cache pass, so a
@@ -96,14 +107,13 @@ func newJobs(s *Server, unbuffered bool, opts ...option.Option) []*job {
 	return jobs
 }
 
-// wantPriced receives every job's result and checks it against the stub
-// kernel.
-func wantPriced(t *testing.T, jobs []*job) {
+// wantPriced receives every job's result and checks it against the
+// reference lattice.
+func wantPriced(t *testing.T, s *Server, jobs []*job) {
 	t.Helper()
 	for _, j := range jobs {
 		res := <-j.done
-		want, _ := stubPrice(j.opt)
-		if res.err != nil || res.price != want {
+		if want := refPrice(t, s, j.opt); res.err != nil || res.price != want {
 			t.Errorf("job %v: got (%v, %v), want %v", j.opt, res.price, res.err, want)
 		}
 	}
@@ -116,13 +126,14 @@ func TestFlushOnSize(t *testing.T) {
 	g := newGate()
 	s, err := New(Config{
 		Steps: 16, MaxBatch: 4,
-		Backends: stubBackends(1, 8), PriceFunc: g.price,
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 8)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close(context.Background())
 	defer g.open()
+	s.backends[0].cfg.Engine.SetFaultHook(g.hook)
 
 	jobs := submitJobs(t, s, false, testOption(0))
 	<-g.entered // the shard's only worker is now busy
@@ -139,7 +150,7 @@ func TestFlushOnSize(t *testing.T) {
 		t.Fatalf("flushed %v options, want 1+4+4", sum)
 	}
 	g.open()
-	wantPriced(t, jobs)
+	wantPriced(t, s, jobs)
 }
 
 // TestFlushWhenIdle: a lone request on a pool with an idle worker
@@ -147,7 +158,7 @@ func TestFlushOnSize(t *testing.T) {
 func TestFlushWhenIdle(t *testing.T) {
 	s, err := New(Config{
 		Steps: 16, MaxBatch: 1024,
-		Backends: stubBackends(1, 8), PriceFunc: stubPrice,
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 8)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,13 +172,13 @@ func TestFlushWhenIdle(t *testing.T) {
 	if n := s.metrics.batchSize.Count(); n != 1 {
 		t.Fatalf("flushed %d batches, want 1 (idle-triggered)", n)
 	}
-	wantPriced(t, jobs)
+	wantPriced(t, s, jobs)
 
 	res, err := s.PriceOptions(context.Background(), []option.Option{testOption(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Backend != "stub" {
+	if res[0].Backend != "cpu-ref" {
 		t.Fatalf("backend = %q", res[0].Backend)
 	}
 }
@@ -178,7 +189,7 @@ func TestFlushWhenIdle(t *testing.T) {
 func TestRequestLeavesAsOneBatch(t *testing.T) {
 	s, err := New(Config{
 		Steps: 16, MaxBatch: 64,
-		Backends: stubBackends(1, 8), PriceFunc: stubPrice,
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 8)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,13 +215,14 @@ func TestWorkerReleaseFlushesBuffer(t *testing.T) {
 	g := newGate()
 	s, err := New(Config{
 		Steps: 16, MaxBatch: 64,
-		Backends: stubBackends(1, 8), PriceFunc: g.price,
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 8)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close(context.Background())
 	defer g.open()
+	s.backends[0].cfg.Engine.SetFaultHook(g.hook)
 
 	first := submitJobs(t, s, false, testOption(0))
 	<-g.entered
@@ -219,12 +231,12 @@ func TestWorkerReleaseFlushesBuffer(t *testing.T) {
 		t.Fatalf("buffer holds %d jobs with the worker busy, want 1", n)
 	}
 	g.step <- struct{}{}
-	wantPriced(t, first)
+	wantPriced(t, s, first)
 	if n := s.batcher.pendingLen(); n != 0 {
 		t.Fatalf("buffer still holds %d jobs after the worker freed its slot", n)
 	}
 	g.open()
-	wantPriced(t, waiting)
+	wantPriced(t, s, waiting)
 }
 
 // TestRevaluationReleaseFlushesBuffer: a revaluation holds its shard's
@@ -289,10 +301,10 @@ func TestRevaluationReleaseFlushesBuffer(t *testing.T) {
 // an idle but fully shed pool still leaves at once.
 func TestAllBreakersOpenStillFlushes(t *testing.T) {
 	s, err := New(Config{
-		Steps: 16, MaxBatch: 64, PriceFunc: stubPrice,
+		Steps: 16, MaxBatch: 64,
 		Backends: []BackendConfig{
-			{Name: "a", Estimate: stubEstimate(1000), Workers: 1, QueueDepth: 8},
-			{Name: "b", Estimate: stubEstimate(100), Workers: 1, QueueDepth: 8},
+			testShard(t, "fpga-ivb", 16, 1, 8),
+			testShard(t, "cpu-ref", 16, 1, 8),
 		},
 		Breaker: BreakerConfig{Cooldown: time.Hour},
 	})
@@ -310,21 +322,22 @@ func TestAllBreakersOpenStillFlushes(t *testing.T) {
 	if n := s.batcher.pendingLen(); n != 0 {
 		t.Fatalf("%d jobs buffered on an idle pool with every breaker open", n)
 	}
-	wantPriced(t, jobs)
+	wantPriced(t, s, jobs)
 }
 
 // TestClosedLoopStaysOnCheapShard: a client that sends its next request
 // as soon as the last one answers finds the cheap one-worker shard idle
 // every time, because a worker frees its slot before it delivers any
-// result — so nothing spills to the dearer two-worker shard. The second
+// result — so nothing spills to the dearer two-worker shard (cpu-ref,
+// against the cheap fpga-ivb). The second
 // half pins that ordering directly: while the worker is blocked
 // delivering the second job of a batch, its slot is already free.
 func TestClosedLoopStaysOnCheapShard(t *testing.T) {
 	s, err := New(Config{
-		Steps: 16, MaxBatch: 64, CacheSize: -1, PriceFunc: stubPrice,
+		Steps: 16, MaxBatch: 64, CacheSize: -1,
 		Backends: []BackendConfig{
-			{Name: "cheap", Estimate: stubEstimate(1000), Workers: 1, QueueDepth: 8},
-			{Name: "dear", Estimate: stubEstimate(100), Workers: 2, QueueDepth: 8},
+			testShard(t, "fpga-ivb", 16, 1, 8),
+			testShard(t, "cpu-ref", 16, 2, 8),
 		},
 	})
 	if err != nil {
@@ -340,8 +353,8 @@ func TestClosedLoopStaysOnCheapShard(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range res {
-			if r.Backend != "cheap" {
-				t.Fatalf("request %d priced on %s, want cheap", i, r.Backend)
+			if r.Backend != cheap.cfg.Name {
+				t.Fatalf("request %d priced on %s, want the cheap shard %s", i, r.Backend, cheap.cfg.Name)
 			}
 		}
 	}
@@ -361,8 +374,8 @@ func TestClosedLoopStaysOnCheapShard(t *testing.T) {
 // — the buffer, the kicks and the blocked dispatches lose nothing.
 func TestBatcherStress(t *testing.T) {
 	s, err := New(Config{
-		Steps: 16, MaxBatch: 8, CacheSize: -1, PriceFunc: stubPrice,
-		Backends: stubBackends(1, 4),
+		Steps: 16, MaxBatch: 8, CacheSize: -1,
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 4)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -384,8 +397,9 @@ func TestBatcherStress(t *testing.T) {
 					return
 				}
 				for i, o := range opts {
-					if want, _ := stubPrice(o); res[i].Price != want {
-						t.Errorf("client %d request %d contract %d: price %v, want %v", c, r, i, res[i].Price, want)
+					want, err := s.engine.Price(o)
+					if err != nil || res[i].Price != want {
+						t.Errorf("client %d request %d contract %d: price %v, want %v (%v)", c, r, i, res[i].Price, want, err)
 					}
 				}
 			}
@@ -409,13 +423,14 @@ func TestBackpressure429(t *testing.T) {
 	block := make(chan struct{})
 	s, hs := newTestServer(t, Config{
 		Steps: 16, MaxBatch: 1, QueueDepth: 2,
-		Backends: stubBackends(1, 8),
-		PriceFunc: func(o option.Option) (float64, error) {
-			<-block
-			return 1, nil
-		},
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 8)},
 	})
 	defer close(block)
+	// MaxBatch 1 makes each option its own submission: one hook call.
+	s.backends[0].cfg.Engine.SetFaultHook(func() error {
+		<-block
+		return nil
+	})
 
 	// Fill the queue with 2 admitted options.
 	var wg sync.WaitGroup
@@ -467,7 +482,7 @@ func TestBackpressure429(t *testing.T) {
 func TestBatchTooLarge413(t *testing.T) {
 	s, hs := newTestServer(t, Config{
 		Steps: 16, MaxBatch: 4, QueueDepth: 3,
-		Backends: stubBackends(1, 8), PriceFunc: stubPrice,
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 8)},
 	})
 
 	opts := make([]option.Option, 4)
@@ -518,23 +533,25 @@ func TestBatchTooLarge413(t *testing.T) {
 func TestGracefulShutdownDrains(t *testing.T) {
 	s, err := New(Config{
 		Steps: 16, MaxBatch: 4,
-		Backends: stubBackends(2, 8),
-		PriceFunc: func(o option.Option) (float64, error) {
-			time.Sleep(5 * time.Millisecond)
-			return o.Strike, nil
-		},
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 2, 8)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.backends[0].cfg.Engine.SetFaultHook(func() error {
+		time.Sleep(5 * time.Millisecond)
+		return nil
+	})
 
 	const n = 12
 	results := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			res, err := s.PriceOptions(context.Background(), []option.Option{testOption(i)})
-			if err == nil && res[0].Price != testOption(i).Strike {
-				err = errors.New("wrong price after drain")
+			if err == nil {
+				if want, rerr := s.engine.Price(testOption(i)); rerr != nil || res[0].Price != want {
+					err = errors.New("wrong price after drain")
+				}
 			}
 			results <- err
 		}(i)
@@ -582,36 +599,36 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 // TestDispatchSpillsAcrossShards: when the fastest shard's worker is
 // busy and its queue full, batches must land on the other shard rather
-// than deadlock. The shards draw equal power, so the fast shard is also
-// the cheapest per option and energy-first placement offers it work
-// first. The stub kernels hold every pricing until the test has seen
-// the exact placement, so the outcome does not depend on scheduling.
+// than deadlock. The fast shard (fpga-ivb) is also the cheaper per
+// option, so energy-first placement offers it work first. Fault hooks
+// hold every submission until the test has seen the exact placement,
+// so the outcome does not depend on scheduling.
 func TestDispatchSpillsAcrossShards(t *testing.T) {
 	release := make(chan struct{})
 	fastBusy := make(chan struct{}, 1)
-	blocked := func(started chan<- struct{}) func(option.Option) (float64, error) {
-		return func(option.Option) (float64, error) {
-			if started != nil {
-				select {
-				case started <- struct{}{}:
-				default:
-				}
-			}
-			<-release
-			return 1, nil
-		}
-	}
 	s, err := New(Config{
 		Steps: 16, MaxBatch: 1, QueueDepth: 64,
 		Backends: []BackendConfig{
-			{Name: "fast", Estimate: stubEstimate(10000), Workers: 1, QueueDepth: 1, PriceFunc: blocked(fastBusy)},
-			{Name: "slow", Estimate: stubEstimate(10), Workers: 1, QueueDepth: 8, PriceFunc: blocked(nil)},
+			testShard(t, "fpga-ivb", 16, 1, 1),
+			testShard(t, "cpu-ref", 16, 1, 8),
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fast, slow := s.backends[0], s.backends[1]
+	fast.cfg.Engine.SetFaultHook(func() error {
+		select {
+		case fastBusy <- struct{}{}:
+		default:
+		}
+		<-release
+		return nil
+	})
+	slow.cfg.Engine.SetFaultHook(func() error {
+		<-release
+		return nil
+	})
 
 	const n = 6
 	var wg sync.WaitGroup
@@ -645,8 +662,8 @@ func TestDispatchSpillsAcrossShards(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	fastN := s.metrics.backendCounter("fast").Load()
-	slowN := s.metrics.backendCounter("slow").Load()
+	fastN := s.metrics.backendCounter(fast.cfg.Name).Load()
+	slowN := s.metrics.backendCounter(slow.cfg.Name).Load()
 	if fastN != 2 || slowN != n-2 {
 		t.Fatalf("shards priced fast=%d slow=%d, want 2 (worker + queue slot) and %d", fastN, slowN, n-2)
 	}

@@ -12,15 +12,16 @@ import (
 )
 
 // BenchmarkServeBatch measures the serving overhead per option — cache
-// lookup, admission, micro-batching, dispatch, result delivery — with an
-// instant pricing kernel and the cache disabled, i.e. the queue machinery
-// itself.
+// lookup, admission, micro-batching, dispatch, engine submission and
+// accounting, result delivery — with the cache disabled, on one
+// two-worker cpu-ref shard at a 2-step depth, where the lattice sweep
+// itself costs next to nothing: i.e. the queue machinery and the engine
+// layer every miss passes through.
 func BenchmarkServeBatch(b *testing.B) {
 	s, err := New(Config{
-		Steps: 16, MaxBatch: 64,
+		Steps: 2, MaxBatch: 64,
 		CacheSize: -1, // disable: measure the queue, not the map
-		Backends:  stubBackends(2, 64),
-		PriceFunc: stubPrice,
+		Backends:  []BackendConfig{testShard(b, "cpu-ref", 2, 2, 64)},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -87,12 +88,12 @@ func BenchmarkServeBatchTraced(b *testing.B) {
 }
 
 // BenchmarkServeCacheHit measures the steady-state fast path: every
-// option served straight from the LRU.
+// option served straight from the LRU. The one cpu-ref shard at a
+// 2-step depth prices only the priming pass.
 func BenchmarkServeCacheHit(b *testing.B) {
 	s, err := New(Config{
-		Steps: 16, MaxBatch: 64,
-		Backends:  stubBackends(2, 64),
-		PriceFunc: stubPrice,
+		Steps: 2, MaxBatch: 64,
+		Backends: []BackendConfig{testShard(b, "cpu-ref", 2, 2, 64)},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -161,23 +161,28 @@ func TestCacheDisabledAndNonFinite(t *testing.T) {
 		t.Fatal("nil cache has entries")
 	}
 
-	// A kernel that returns non-finite prices delivers them, but the
-	// server must not pin them into the cache.
-	s, err := New(Config{
-		Steps: 16, Backends: stubBackends(1, 8),
-		PriceFunc: func(o option.Option) (float64, error) {
-			if o.Strike == 90 {
-				return math.NaN(), nil
-			}
-			return math.Inf(1), nil
-		},
-	})
+	// A call on an overflowing spot prices to +Inf on the engine: the
+	// server delivers it, but must not pin it into the cache. NaN takes
+	// the same guard; settle is handed one directly.
+	s, err := New(Config{Steps: 16, Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 8)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close(context.Background())
-	if _, err := s.PriceOptions(context.Background(), []option.Option{cacheOption(90), cacheOption(91)}); err != nil {
+	huge := option.Option{Right: option.Call, Style: option.American, Spot: 1e308, Strike: 100, Rate: 0.03, Sigma: 5, T: 1}
+	res, err := s.PriceOptions(context.Background(), []option.Option{huge})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !math.IsInf(res[0].Price, 1) {
+		t.Fatalf("overflowing call priced %v, want +Inf", res[0].Price)
+	}
+	jobs := newJobs(s, false, cacheOption(90))
+	s.queued.Add(1)
+	s.backends[0].pending.Add(1)
+	s.settle(s.backends[0], jobs[0], math.NaN())
+	if got := <-jobs[0].done; !math.IsNaN(got.price) {
+		t.Fatalf("settled %v, want NaN delivered", got.price)
 	}
 	if n := s.cache.len(); n != 0 {
 		t.Fatalf("non-finite prices cached: len %d", n)

@@ -8,52 +8,42 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"binopt/internal/accel"
 	"binopt/internal/faults"
 	"binopt/internal/option"
 	"binopt/internal/workload"
 )
 
-// faultyPrice wraps a pricing kernel with an injector hook, the same
-// composition pricesrvd arms on real engines.
-func faultyPrice(hook func() error, kernel func(option.Option) (float64, error)) func(option.Option) (float64, error) {
-	return func(o option.Option) (float64, error) {
-		if err := hook(); err != nil {
-			return 0, err
-		}
-		return kernel(o)
-	}
-}
-
 // TestFailoverAbsorbsShardFaults is the acceptance scenario: one shard
 // of a two-shard pool fails 20% of its pricings, and the paper's
 // 2000-put chain must still complete with zero client-visible errors
-// and prices bit-identical to the healthy kernel, with the outage
+// and prices bit-identical to the reference lattice, with the outage
 // observable — retries counted, the flaky shard's breaker open on
 // /healthz and /metrics, and the modelled drain rate behind Retry-After
 // excluding the shard being routed around.
 func TestFailoverAbsorbsShardFaults(t *testing.T) {
-	inj, err := faults.Parse("flaky:err=0.2", 7)
-	if err != nil {
-		t.Fatalf("faults.Parse: %v", err)
-	}
+	// The flaky shard is the cheaper per option and the faster to
+	// drain, so the dispatcher prefers it until its breaker opens —
+	// faults are guaranteed to be exercised, not routed around by luck.
+	flaky := testShard(t, "fpga-ivb", 16, 2, 0)
+	flaky.Name = "flaky"
+	healthy := testShard(t, "cpu-ref", 16, 2, 0)
+	healthy.Name = "healthy"
 	s, hs := newTestServer(t, Config{
 		Steps: 16, QueueDepth: 4096, CacheSize: -1,
-		Backends: []BackendConfig{
-			// The flaky shard advertises the higher modelled rate, so the
-			// dispatcher prefers it until its breaker opens — faults are
-			// guaranteed to be exercised, not routed around by luck.
-			{Name: "flaky", Estimate: stubEstimate(100000), Workers: 2,
-				PriceFunc: faultyPrice(inj.HookFor("flaky"), stubPrice)},
-			{Name: "healthy", Estimate: stubEstimate(1000), Workers: 2, PriceFunc: stubPrice},
-		},
+		Backends: []BackendConfig{flaky, healthy},
 		// Once open the breaker must stay open through the post-run
 		// assertions below.
 		Breaker: BreakerConfig{Cooldown: time.Hour},
 	})
+	inj, err := faults.Parse("flaky:err=0.2", 7)
+	if err != nil {
+		t.Fatalf("faults.Parse: %v", err)
+	}
+	flaky.Engine.SetFaultHook(inj.HookFor("flaky"))
 
 	chain, err := workload.Chain(workload.DefaultVolCurveSpec(7))
 	if err != nil {
@@ -64,11 +54,14 @@ func TestFailoverAbsorbsShardFaults(t *testing.T) {
 		t.Fatalf("PriceOptions under 20%% shard faults: %v", err)
 	}
 
+	want, err := s.engine.PriceBatch(chain, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var retries int64
 	for i, r := range results {
-		want, _ := stubPrice(chain[i])
-		if r.Price != want {
-			t.Fatalf("option %d: price %v, want %v (failover must be numerically invisible)", i, r.Price, want)
+		if r.Price != want[i] {
+			t.Fatalf("option %d: price %v, want %v (failover must be numerically invisible)", i, r.Price, want[i])
 		}
 		retries += int64(r.Retries)
 	}
@@ -99,8 +92,8 @@ func TestFailoverAbsorbsShardFaults(t *testing.T) {
 	}
 
 	// Retry-After honesty: the open shard's modelled rate is excluded.
-	if rate := s.aggregateRate(); rate != 1000 {
-		t.Fatalf("aggregateRate = %v, want 1000 (healthy only; flaky is open)", rate)
+	if rate, want := s.aggregateRate(), healthy.Engine.Estimate().OptionsPerSec; rate != want {
+		t.Fatalf("aggregateRate = %v, want %v (healthy only; flaky is open)", rate, want)
 	}
 
 	// /healthz: per-shard breaker state plus the degraded pool status.
@@ -173,18 +166,24 @@ func TestFailoverAbsorbsShardFaults(t *testing.T) {
 // and the error must name the failing contract index.
 func TestExhaustedAttemptsDrainSiblings(t *testing.T) {
 	const poisoned = 5
-	poison := testOption(poisoned)
-	kernel := func(o option.Option) (float64, error) {
-		if o.Strike == poison.Strike {
-			return 0, errors.New("poisoned contract")
-		}
-		return stubPrice(o)
-	}
+	shard := testShard(t, "cpu-ref", 16, 2, 0)
 	s, _ := newTestServer(t, Config{
 		Steps: 16, QueueDepth: 256, CacheSize: -1, MaxAttempts: 1,
-		Backends: []BackendConfig{
-			{Name: "stub", Estimate: stubEstimate(1000), Workers: 2, PriceFunc: kernel},
-		},
+		Backends: []BackendConfig{shard},
+	})
+	// The request's misses leave as one batch. Its submission draws the
+	// hook first and fails, so the shard re-runs the jobs one by one in
+	// order, each drawing the hook again: failing the draw for job
+	// poisoned fails that contract alone.
+	var calls atomic.Int64
+	shard.Engine.SetFaultHook(func() error {
+		switch calls.Add(1) {
+		case 1:
+			return errors.New("submission fault")
+		case 2 + poisoned:
+			return errors.New("poisoned contract")
+		}
+		return nil
 	})
 
 	opts := make([]option.Option, 8)
@@ -199,7 +198,7 @@ func TestExhaustedAttemptsDrainSiblings(t *testing.T) {
 		t.Fatalf("error %q does not name contract %d", err, poisoned)
 	}
 	if !strings.Contains(err.Error(), "poisoned contract") {
-		t.Fatalf("error %q lost the kernel's cause", err)
+		t.Fatalf("error %q lost the engine's cause", err)
 	}
 	// Every sibling was drained and observed, not abandoned in flight.
 	if phases.Priced != len(opts)-1 {
@@ -217,23 +216,24 @@ func TestExhaustedAttemptsDrainSiblings(t *testing.T) {
 // that always fails hands its jobs to the healthy shard, the result
 // carries the retry count and the shard that actually priced it.
 func TestRetryRecomputesOnSecondShard(t *testing.T) {
+	// The dead shard is the cheaper per option, so it gets the first try.
+	dead := testShard(t, "fpga-ivb", 16, 1, 0)
+	dead.Name = "dead"
+	alive := testShard(t, "cpu-ref", 16, 1, 0)
+	alive.Name = "alive"
 	s, _ := newTestServer(t, Config{
 		Steps: 16, QueueDepth: 64, CacheSize: -1,
-		Backends: []BackendConfig{
-			{Name: "dead", Estimate: stubEstimate(100000), Workers: 1,
-				PriceFunc: func(option.Option) (float64, error) { return 0, errors.New("dead shard") }},
-			{Name: "alive", Estimate: stubEstimate(100), Workers: 1, PriceFunc: stubPrice},
-		},
-		Breaker: BreakerConfig{Cooldown: time.Hour},
+		Backends: []BackendConfig{dead, alive},
+		Breaker:  BreakerConfig{Cooldown: time.Hour},
 	})
+	dead.Engine.SetFaultHook(func() error { return errors.New("dead shard") })
 
 	o := testOption(1)
 	res, err := s.PriceOptions(context.Background(), []option.Option{o})
 	if err != nil {
 		t.Fatalf("PriceOptions: %v", err)
 	}
-	want, _ := stubPrice(o)
-	if res[0].Price != want {
+	if want := refPrice(t, s, o); res[0].Price != want {
 		t.Fatalf("price %v, want %v", res[0].Price, want)
 	}
 	if res[0].Backend != "alive" {
@@ -247,20 +247,22 @@ func TestRetryRecomputesOnSecondShard(t *testing.T) {
 // TestAttemptBudgetExhaustsAcrossShards: with every shard dead, the
 // error reaches the client only after MaxAttempts distinct tries.
 func TestAttemptBudgetExhaustsAcrossShards(t *testing.T) {
-	attempts := make(chan string, 16)
-	dead := func(name string) func(option.Option) (float64, error) {
-		return func(option.Option) (float64, error) {
-			attempts <- name
-			return 0, errors.New("outage")
-		}
-	}
 	s, _ := newTestServer(t, Config{
 		Steps: 16, QueueDepth: 64, CacheSize: -1, MaxAttempts: 3,
 		Backends: []BackendConfig{
-			{Name: "a", Estimate: stubEstimate(1000), Workers: 1, PriceFunc: dead("a")},
-			{Name: "b", Estimate: stubEstimate(1000), Workers: 1, PriceFunc: dead("b")},
+			testShard(t, "fpga-ivb", 16, 1, 0),
+			testShard(t, "cpu-ref", 16, 1, 0),
 		},
 	})
+	// Each attempt is a one-job submission: one hook draw.
+	attempts := make(chan string, 16)
+	for _, be := range s.backends {
+		name := be.cfg.Name
+		be.cfg.Engine.SetFaultHook(func() error {
+			attempts <- name
+			return errors.New("outage")
+		})
+	}
 
 	_, err := s.PriceOptions(context.Background(), []option.Option{testOption(1)})
 	if err == nil {
@@ -275,7 +277,7 @@ func TestAttemptBudgetExhaustsAcrossShards(t *testing.T) {
 		n++
 	}
 	if n != 3 {
-		t.Fatalf("kernel ran %d times, want exactly MaxAttempts=3", n)
+		t.Fatalf("fault hooks drew %d times, want exactly MaxAttempts=3", n)
 	}
 	if d := s.QueueDepth(); d != 0 {
 		t.Fatalf("queue depth %d, want 0", d)
@@ -287,20 +289,8 @@ func TestAttemptBudgetExhaustsAcrossShards(t *testing.T) {
 // re-running the job alone would draw the shard's fault hook a second
 // time for the same attempt.
 func TestFailedSingletonDrawsHookOnce(t *testing.T) {
-	const steps = 16
-	var backends []BackendConfig
-	for _, name := range []string{"fpga-ivb", "cpu-ref"} {
-		p, err := accel.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := p.NewEngine(steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		backends = append(backends, BackendConfig{Name: name, Estimate: eng.Estimate(), Engine: eng})
-	}
-	s, _ := newTestServer(t, Config{Steps: steps, CacheSize: -1, Backends: backends})
+	backends := []BackendConfig{testShard(t, "fpga-ivb", 16, 1, 0), testShard(t, "cpu-ref", 16, 1, 0)}
+	s, _ := newTestServer(t, Config{Steps: 16, CacheSize: -1, Backends: backends})
 	inj, err := faults.Parse("fpga-ivb:err=1", 7)
 	if err != nil {
 		t.Fatalf("faults.Parse: %v", err)

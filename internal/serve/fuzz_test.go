@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"binopt/internal/scenario"
@@ -131,6 +134,59 @@ func FuzzParseServerTiming(f *testing.F) {
 		}
 		if got := again.ServerTiming(); got != formatted {
 			t.Fatalf("ParseServerTiming(%q): rendering is not a fixed point:\n%s\n%s", header, formatted, got)
+		}
+	})
+}
+
+// FuzzReadInvalidate feeds arbitrary bodies to the one /v1/invalidate
+// parser the node, the gossiping node and the router share. It must
+// never panic; a body over MaxInvalidateBytes answers 413 and any other
+// rejection 400; an accepted request re-marshals and re-reads to itself.
+// oversize pads the body with whitespace past the bound, which the
+// fuzzer's own mutations seldom reach.
+func FuzzReadInvalidate(f *testing.F) {
+	for _, seed := range []string{
+		`{"generation":7,"origin":"node-1"}`,
+		`{"generation":18446744073709551615}`,
+		`{"generation":-1}`,
+		`{"generation":1.5,"origin":"x"}`,
+		`{"origin":"\ud800"}`,
+		`  `,
+		``,
+		`null`,
+		`[]`,
+	} {
+		f.Add([]byte(seed), false)
+	}
+	f.Add([]byte(`{"generation":3}`), true)
+	read := func(body []byte) (InvalidateRequest, int, error) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/invalidate", bytes.NewReader(body))
+		return ReadInvalidate(httptest.NewRecorder(), r)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, oversize bool) {
+		if oversize {
+			body = append(body, bytes.Repeat([]byte(" "), MaxInvalidateBytes+1)...)
+		}
+		req, status, err := read(body)
+		switch {
+		case len(body) > MaxInvalidateBytes:
+			if err == nil || status != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%d-byte body: status %d, err %v, want 413", len(body), status, err)
+			}
+			return
+		case err != nil:
+			if status != http.StatusBadRequest {
+				t.Fatalf("rejected with status %d, want 400: %v", status, err)
+			}
+			return
+		}
+		wire, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("re-marshal %+v: %v", req, err)
+		}
+		again, status, err := read(wire)
+		if err != nil || again != req {
+			t.Fatalf("%s re-read as %+v (status %d, %v), want %+v", wire, again, status, err, req)
 		}
 	})
 }

@@ -3,15 +3,19 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"binopt/internal/faults"
 	"binopt/internal/slo"
 	"binopt/internal/telemetry"
 )
@@ -155,6 +159,104 @@ func TestServerTimingJoulesLedger(t *testing.T) {
 	// The per-phase attribution telescopes to the booked total.
 	if math.Abs(phaseSum-after) > 1e-9*math.Max(1, math.Abs(after)) {
 		t.Errorf("phase joules sum %.12g != booked total %.12g", phaseSum, after)
+	}
+}
+
+// TestJoulesLedgerProperty: however requests are cut and wherever
+// failover lands their options, the node's binopt_modelled_joules_total
+// moves by exactly what the shards' engines booked, and so does the sum
+// of the results' modelled_joules. Concurrent clients send /v1/price
+// requests of random sizes, some contracts repeated so cache hits mix
+// in, over the default mixed pool: once clean, and once with the
+// cheapest shard failing half its submissions.
+func TestJoulesLedgerProperty(t *testing.T) {
+	for _, spec := range []string{"", "fpga-ivb:err=0.5"} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("faults=%q/seed=%d", spec, seed), func(t *testing.T) {
+				checkJoulesLedger(t, spec, seed)
+			})
+		}
+	}
+}
+
+func checkJoulesLedger(t *testing.T, spec string, seed int64) {
+	s, hs := newTestServer(t, Config{Steps: 16, CacheSize: 1024})
+	inj, err := faults.Parse(spec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([]float64, len(s.backends))
+	for i, be := range s.backends {
+		before[i] = be.cfg.Engine.ModelledJoules()
+		if h := inj.HookFor(be.cfg.Name); h != nil {
+			be.cfg.Engine.SetFaultHook(h)
+		}
+	}
+	nodeBefore := s.metrics.modelledJoules.load()
+
+	const clients, perClient = 4, 8
+	rng := rand.New(rand.NewSource(seed))
+	reqs := make([]PriceRequest, clients*perClient)
+	for i := range reqs {
+		reqs[i].Contracts = make([]Contract, 1+rng.Intn(48))
+		for k := range reqs[i].Contracts {
+			reqs[i].Contracts[k] = FromOption(testOption(rng.Intn(300)))
+		}
+	}
+	var mu sync.Mutex
+	var resultJoules float64
+	var retries int
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := c; r < len(reqs); r += clients {
+				body, err := json.Marshal(reqs[r])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.Post(hs.URL+"/v1/price", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var pr PriceResponse
+				err = json.NewDecoder(resp.Body).Decode(&pr)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("request %d: HTTP %d: %v", r, resp.StatusCode, err)
+					return
+				}
+				mu.Lock()
+				for _, res := range pr.Results {
+					resultJoules += res.ModelledJoules
+					retries += res.Retries
+				}
+				mu.Unlock()
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	var booked float64
+	for i, be := range s.backends {
+		booked += be.cfg.Engine.ModelledJoules() - before[i]
+	}
+	node := s.metrics.modelledJoules.load() - nodeBefore
+	same := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+	if !(booked > 0) {
+		t.Fatalf("engines booked %v J", booked)
+	}
+	if !same(node, booked) {
+		t.Errorf("binopt_modelled_joules_total moved %.12g J, engines booked %.12g J", node, booked)
+	}
+	if !same(resultJoules, booked) {
+		t.Errorf("results carry %.12g J, engines booked %.12g J", resultJoules, booked)
+	}
+	if spec != "" && retries == 0 {
+		t.Error("no result was retried: the fault hook never fired")
 	}
 }
 

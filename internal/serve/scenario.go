@@ -9,11 +9,9 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"slices"
 	"strconv"
 	"time"
 
-	"binopt/internal/accel"
 	"binopt/internal/lattice"
 	"binopt/internal/obslog"
 	"binopt/internal/scenario"
@@ -95,11 +93,11 @@ type ScenarioResponse struct {
 	// position under CRR, six otherwise).
 	Evaluations int64 `json:"evaluations"`
 	// ModelledJoules is Evaluations × the pricing backend's modelled
-	// per-option energy (zero for cache hits and the reference engine).
+	// per-option energy (zero for cache hits).
 	ModelledJoules float64 `json:"modelled_joules"`
 	Cached         bool    `json:"cached"`
 	// Backend names the engine shard that priced the revaluation
-	// ("cache" on a hit, "reference" on the host lattice fallback).
+	// ("cache" on a hit).
 	Backend string `json:"backend"`
 	Node    string `json:"node,omitempty"`
 }
@@ -207,32 +205,22 @@ func scenarioCacheCapFor(cacheSize int) int {
 
 // revalue runs one revaluation on an engine shard chosen by place, the
 // policy contract batches follow, and returns the report with the shard
-// that priced it (nil for the reference lattice). The revaluation holds
-// a reserve slot on its shard while it runs, so contract dispatch and
-// Retry-After see the load, and kicks the batcher once it releases the
-// slot, as a batch worker does; when no engine shard has a slot left it
-// returns ErrSaturated. A failed attempt is booked the way failJob books
-// one — breaker, shard and node error counters, retry counter — and the
-// revaluation moves to the next shard after retryBackoff, within
-// MaxAttempts. With no engine shard (a PriceFunc override, whose stub
-// kernels are not the reference) it prices on the server's reference
-// lattice: bit-identical either way, per the startup parity check.
+// that priced it. The revaluation holds a reserve slot on its shard
+// while it runs, so contract dispatch and Retry-After see the load, and
+// kicks the batcher once it releases the slot, as a batch worker does;
+// when no shard has a slot left it returns ErrSaturated. A failed
+// attempt is booked the way failJob books one — breaker, shard and node
+// error counters, retry counter — and the revaluation moves to the next
+// shard after retryBackoff, within MaxAttempts.
 func (s *Server) revalue(req scenario.Request, log *slog.Logger) (scenario.Report, *backend, error) {
-	engineOf := func(be *backend) *accel.Engine { _, eng := s.shardKernel(be); return eng }
-	if !slices.ContainsFunc(s.backends, func(be *backend) bool { return engineOf(be) != nil }) {
-		rep, err := scenario.New(s.engine, 0).Revalue(req)
-		return rep, nil, err
-	}
 	n := int64(len(req.Shocks)+1) * int64(len(req.Book))
 	var failed *backend
 	for attempt := 1; ; attempt++ {
-		be, _ := s.place(failed, func(be *backend, idleOnly bool) bool {
-			return engineOf(be) != nil && be.reserve(n, idleOnly)
-		})
+		be, _ := s.place(failed, func(be *backend, idleOnly bool) bool { return be.reserve(n, idleOnly) })
 		if be == nil {
 			return scenario.Report{}, nil, ErrSaturated
 		}
-		rep, err := scenario.New(engineOf(be), 0).Revalue(req)
+		rep, err := scenario.New(be.cfg.Engine, 0).Revalue(req)
 		be.release(n)
 		s.kick()
 		if err == nil {
@@ -358,13 +346,8 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	backendName, jpo := "reference", 0.0
-	if be != nil {
-		backendName, jpo = be.cfg.Name, be.joules
-	}
-
 	// Aggregate phase: energy ledger, metrics, cache fill, response.
-	joules := float64(rep.Evaluations) * jpo
+	joules := float64(rep.Evaluations) * be.joules
 	s.metrics.scenarioShocks.Add(int64(len(shocks)))
 	s.metrics.scenarioEvals.Add(rep.Evaluations)
 	s.metrics.scenarioJoules.add(joules)
@@ -378,10 +361,10 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Server-Timing", scenarioServerTiming(
 		expandDone.Sub(started), priceDone.Sub(expandDone), time.Since(priceDone), rep.Evaluations, joules))
-	s.writeScenarioResponse(w, span, trace, rep, false, backendName, joules)
+	s.writeScenarioResponse(w, span, trace, rep, false, be.cfg.Name, joules)
 	log.Debug("scenario request served",
 		"positions", len(book), "scenarios", len(shocks), "evaluations", rep.Evaluations,
-		"backend", backendName, "joules", joules, "latency", time.Since(started).Seconds())
+		"backend", be.cfg.Name, "joules", joules, "latency", time.Since(started).Seconds())
 }
 
 // writeScenarioResponse renders one revaluation report to the client,

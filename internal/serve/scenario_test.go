@@ -470,7 +470,7 @@ func TestScenarioPlacedEnergyFirst(t *testing.T) {
 	_, url, byCost := placementPool(t, 0)
 	cheapest := byCost[0]
 	fastest := slices.MaxFunc(byCost, func(a, b *backend) int {
-		return cmp.Compare(a.cfg.Estimate.OptionsPerSec, b.cfg.Estimate.OptionsPerSec)
+		return cmp.Compare(a.rate, b.rate)
 	})
 	if cheapest == fastest {
 		t.Fatalf("%s is both cheapest and fastest; the test cannot tell the policies apart", cheapest.cfg.Name)

@@ -1,11 +1,12 @@
 // Package serve is the pricing service layer over the binopt engines: a
 // batched HTTP/JSON API backed by a dynamic micro-batching queue, a
 // worker pool with one shard per accel-registry platform (FPGA kernel
-// IV.B, GPU, CPU reference, plus any extra registered target), each
-// executing on its own platform engine with per-device counter and
-// energy accounting, an LRU result cache keyed by canonicalised
-// contract parameters, and a metrics surface reporting throughput,
-// latency quantiles and modelled energy. It turns the library's one-shot
+// IV.B, GPU, CPU reference, plus any extra registered target), an LRU
+// result cache keyed by canonicalised contract parameters, and a metrics
+// surface reporting throughput, latency quantiles and modelled energy.
+// Every shard is a platform engine: each cache-miss batch is one
+// submission to its engine's batch pricer, with per-device counter,
+// device-clock and energy accounting. It turns the library's one-shot
 // experiments into the data-centre serving tier the paper's use case —
 // 2000-option implied-volatility curves on demand under a
 // throughput/energy budget — actually requires.
@@ -47,15 +48,12 @@ type Config struct {
 	// CacheSize is the LRU capacity in contracts (default 65536; set
 	// negative to disable caching).
 	CacheSize int
-	// Backends is the shard pool (default DefaultBackends(Steps)).
+	// Backends is the shard pool (default DefaultBackends(Steps)). Every
+	// shard needs an Engine at Steps depth.
 	Backends []BackendConfig
 	// SolverWorkers bounds concurrency inside /v1/volcurve implied-vol
 	// solves (default GOMAXPROCS).
 	SolverWorkers int
-	// PriceFunc overrides the pricing kernel, for tests that need a slow
-	// or failing engine. The default prices on the double-precision
-	// reference lattice at Steps depth.
-	PriceFunc func(option.Option) (float64, error)
 	// MaxAttempts bounds how many shards a single option may be tried
 	// on before its error reaches the client (default 3; 1 disables
 	// failover). Results are bit-identical across shards, so re-
@@ -128,9 +126,10 @@ type Result struct {
 // Server is the pricing service. Construct with New, serve via Handler,
 // stop with Close.
 type Server struct {
-	cfg     Config
-	engine  *lattice.Engine
-	priceFn func(option.Option) (float64, error)
+	cfg Config
+	// engine is the reference lattice: the parity probe compares every
+	// shard against it, and /v1/volcurve solves on it.
+	engine *lattice.Engine
 
 	cache     *lru[Key, float64]
 	scenarios *lru[string, scenario.Report]
@@ -190,11 +189,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SLO != nil {
 		s.slomon = slo.New(*cfg.SLO)
 	}
-	s.priceFn = cfg.PriceFunc
-	if s.priceFn == nil {
-		s.priceFn = eng.Price
-	}
 	for _, bc := range cfg.Backends {
+		if bc.Engine == nil {
+			return nil, fmt.Errorf("serve: backend %q has no engine", bc.Name)
+		}
 		s.backends = append(s.backends, newBackend(bc, s.metrics, cfg.Breaker))
 	}
 	if err := s.verifyEngineParity(); err != nil {
@@ -220,12 +218,8 @@ func New(cfg Config) (*Server, error) {
 // verifyEngineParity prices one canonical contract on every shard's
 // platform engine and requires the results to match the server's
 // reference lattice bit for bit — the serving-layer version of the
-// kernel validation in §V-B. A PriceFunc override disables the check
-// (stub kernels are deliberately not the reference).
+// kernel validation in §V-B.
 func (s *Server) verifyEngineParity() error {
-	if s.cfg.PriceFunc != nil {
-		return nil
-	}
 	probe := option.Option{
 		Right: option.Put, Style: option.American,
 		Spot: 100, Strike: 105, Rate: 0.03, Sigma: 0.2, T: 0.5,
@@ -235,9 +229,6 @@ func (s *Server) verifyEngineParity() error {
 		return fmt.Errorf("serve: parity reference: %w", err)
 	}
 	for _, be := range s.backends {
-		if be.cfg.Engine == nil || be.cfg.PriceFunc != nil {
-			continue
-		}
 		got, err := be.cfg.Engine.Price(probe)
 		if err != nil {
 			return fmt.Errorf("serve: parity probe on %s: %w", be.cfg.Name, err)
@@ -253,11 +244,8 @@ func (s *Server) verifyEngineParity() error {
 // substrateStats snapshots per-backend device activity from the platform
 // engines for the metrics page.
 func (s *Server) substrateStats() []substrateStat {
-	var out []substrateStat
+	out := make([]substrateStat, 0, len(s.backends))
 	for _, be := range s.backends {
-		if be.cfg.Engine == nil {
-			continue
-		}
 		out = append(out, substrateStat{
 			backend:    be.cfg.Name,
 			counters:   be.cfg.Engine.Counters(),

@@ -197,7 +197,7 @@ func oversizeBody() []byte {
 // TestOversizeBody413: a body over MaxBodyBytes is refused with 413 on
 // every JSON endpoint, not truncated into malformed JSON and a 400.
 func TestOversizeBody413(t *testing.T) {
-	_, hs := newTestServer(t, Config{Steps: 16, Backends: stubBackends(1, 8), PriceFunc: stubPrice})
+	_, hs := newTestServer(t, Config{Steps: 16, Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 8)}})
 	body := oversizeBody()
 	for _, path := range []string{"/v1/price", "/v1/volcurve", "/v1/scenarios"} {
 		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
@@ -333,6 +333,19 @@ func TestDuplicateContractsInOneRequest(t *testing.T) {
 	}
 	if !again[0].Cached || again[0].Price != first[0].Price {
 		t.Fatalf("repeat should hit the cache with the same price: %+v", again[0])
+	}
+}
+
+// TestNewRejectsShardWithoutEngine: every shard is a platform engine,
+// so a BackendConfig without one is a configuration error, not a shard
+// that prices some other way.
+func TestNewRejectsShardWithoutEngine(t *testing.T) {
+	_, err := New(Config{Steps: 16, Backends: []BackendConfig{
+		testShard(t, "cpu-ref", 16, 1, 8),
+		{Name: "bare", Workers: 1},
+	}})
+	if err == nil || !strings.Contains(err.Error(), `backend "bare" has no engine`) {
+		t.Fatalf("New = %v, want an error naming the engine-less backend", err)
 	}
 }
 
