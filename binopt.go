@@ -95,5 +95,5 @@ func ImpliedVol(quote float64, o Option, steps int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return volatility.Brent(quote, o, e.Price, 0, 0)
+	return volatility.Brent(quote, o, e.Price)
 }

@@ -22,7 +22,7 @@ func main() {
 		quotes  = flag.Int("quotes", 2000, "options per volatility curve")
 		steps   = flag.Int("steps", 256, "tree depth for quote generation and inversion")
 		seed    = flag.Int64("seed", 7, "chain generation seed")
-		workers = flag.Int("workers", 0, "solver concurrency (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "goroutines per batch pricing, for the reference quotes and each solver round (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 

@@ -248,7 +248,8 @@ type VolCurveConfig struct {
 	Steps int
 	// Seed drives the synthetic chain.
 	Seed int64
-	// Workers bounds concurrency (<=0: GOMAXPROCS).
+	// Workers bounds the goroutines of each batch pricing, both for the
+	// reference quotes and for every solver round (<=0: GOMAXPROCS).
 	Workers int
 }
 
@@ -289,7 +290,9 @@ func VolCurve(cfg VolCurveConfig) (VolCurveResult, error) {
 	if err != nil {
 		return VolCurveResult{}, err
 	}
-	pts, skipped, err := volatility.Curve(quotes, eng.Price, volatility.MethodBrent, cfg.Workers)
+	pts, skipped, err := volatility.Curve(quotes, func(opts []Option) ([]float64, error) {
+		return eng.PriceBatch(opts, cfg.Workers)
+	})
 	if err != nil {
 		return VolCurveResult{}, err
 	}

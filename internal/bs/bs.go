@@ -87,8 +87,8 @@ func PriceAndGreeks(o option.Option) (float64, Greeks, error) {
 	return v, g, nil
 }
 
-// Vega returns only the volatility sensitivity; the implied-volatility
-// Newton solver needs it on every iteration and nothing else.
+// Vega returns only the volatility sensitivity, without the price and
+// the other Greeks.
 func Vega(o option.Option) (float64, error) {
 	if err := o.Validate(); err != nil {
 		return 0, err

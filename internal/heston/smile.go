@@ -39,7 +39,7 @@ func ImpliedSmile(p Params, strikes []float64, t float64) ([]SmilePoint, error) 
 			Sigma: 0.2, // placeholder; the solver owns sigma
 			T:     t,
 		}
-		iv, err := volatility.Brent(price, contract, bs.Price, 0, 0)
+		iv, err := volatility.Brent(price, contract, bs.Price)
 		if err != nil {
 			return nil, fmt.Errorf("heston: smile at K=%v: %w", k, err)
 		}

@@ -371,7 +371,7 @@ func (s *Server) handleVolCurve(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		quotes, err = workload.ReferenceQuotes(chain, s.cfg.Steps, s.cfg.SolverWorkers)
+		quotes, err = workload.ReferenceQuotes(chain, s.cfg.Steps, 0)
 		if err != nil {
 			s.writeError(w, http.StatusInternalServerError, "%v", err)
 			return
@@ -381,13 +381,13 @@ func (s *Server) handleVolCurve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The solver's repeated pricings carry fresh sigmas every iteration,
-	// so they bypass the cache; we still meter them.
-	pf := func(o option.Option) (float64, error) {
-		s.metrics.solverPricings.Add(1)
-		return s.engine.Price(o)
+	// The solver's rounds carry fresh sigmas every iteration, so they
+	// bypass the cache; we still meter them.
+	priceBatch := func(opts []option.Option) ([]float64, error) {
+		s.metrics.solverPricings.Add(int64(len(opts)))
+		return s.engine.PriceBatch(opts, 0)
 	}
-	points, skipped, err := volatility.Curve(quotes, pf, volatility.MethodBrent, s.cfg.SolverWorkers)
+	points, skipped, err := volatility.Curve(quotes, priceBatch)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "%v", err)
 		return

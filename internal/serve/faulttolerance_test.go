@@ -244,6 +244,56 @@ func TestRetryRecomputesOnSecondShard(t *testing.T) {
 	}
 }
 
+// TestCloseWaitsForBackoffRetry: Close must drain a job that is waiting
+// out its retry backoff. The job holds its admission slot through the
+// backoff, so Close waits for it; closing the shard queues at once
+// would leave the backoff timer's re-dispatch to send on a closed
+// queue.
+func TestCloseWaitsForBackoffRetry(t *testing.T) {
+	flaky := testShard(t, "fpga-ivb", 16, 1, 0)
+	flaky.Name = "flaky"
+	healthy := testShard(t, "cpu-ref", 16, 1, 0)
+	healthy.Name = "healthy"
+	s, _ := newTestServer(t, Config{
+		Steps: 16, QueueDepth: 64, CacheSize: -1,
+		MaxAttempts: 2, RetryBackoff: 50 * time.Millisecond,
+		Backends: []BackendConfig{flaky, healthy},
+	})
+	var calls atomic.Int64
+	flaky.Engine.SetFaultHook(func() error {
+		if calls.Add(1) == 1 {
+			return errors.New("transient fault")
+		}
+		return nil
+	})
+
+	o := testOption(1)
+	type outcome struct {
+		res []Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := s.PriceOptions(context.Background(), []option.Option{o})
+		done <- outcome{res, err}
+	}()
+	for s.metrics.retries.Load() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatalf("Close with a retry in backoff: %v", err)
+	}
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("PriceOptions: %v", got.err)
+	}
+	if want := refPrice(t, s, o); got.res[0].Price != want || got.res[0].Retries != 1 {
+		t.Fatalf("result %+v, want price %v after 1 retry", got.res[0], want)
+	}
+}
+
 // TestAttemptBudgetExhaustsAcrossShards: with every shard dead, the
 // error reaches the client only after MaxAttempts distinct tries.
 func TestAttemptBudgetExhaustsAcrossShards(t *testing.T) {

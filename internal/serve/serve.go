@@ -51,9 +51,6 @@ type Config struct {
 	// Backends is the shard pool (default DefaultBackends(Steps)). Every
 	// shard needs an Engine at Steps depth.
 	Backends []BackendConfig
-	// SolverWorkers bounds concurrency inside /v1/volcurve implied-vol
-	// solves (default GOMAXPROCS).
-	SolverWorkers int
 	// MaxAttempts bounds how many shards a single option may be tried
 	// on before its error reaches the client (default 3; 1 disables
 	// failover). Results are bit-identical across shards, so re-

@@ -13,6 +13,7 @@ import (
 	"binopt/internal/accel"
 	"binopt/internal/lattice"
 	"binopt/internal/option"
+	"binopt/internal/volatility"
 	"binopt/internal/workload"
 )
 
@@ -215,6 +216,7 @@ func TestOversizeBody413(t *testing.T) {
 // checks the recovered smile is a plausible volatility curve.
 func TestVolCurveEndpoint(t *testing.T) {
 	_, hs := newTestServer(t, Config{Steps: 64})
+	before := metricValue(t, hs.URL, "binopt_solver_pricings_total")
 	resp, body := postJSON(t, hs.URL+"/v1/volcurve", VolCurveRequest{N: 32, Seed: 11})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -230,6 +232,35 @@ func TestVolCurveEndpoint(t *testing.T) {
 		if p.Implied <= 0 || p.Implied > 2 {
 			t.Errorf("implausible implied vol %v at strike %v", p.Implied, p.Strike)
 		}
+	}
+
+	// binopt_solver_pricings_total counts lattice evaluations: exactly
+	// what per-quote Brent spends on the same generated quotes.
+	spec := workload.DefaultVolCurveSpec(11)
+	spec.N = 32
+	chain, err := workload.Chain(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quotes, err := workload.ReferenceQuotes(chain, 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := lattice.NewEngine(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	count := func(o option.Option) (float64, error) {
+		want++
+		return eng.Price(o)
+	}
+	for _, q := range quotes {
+		// A quote without a volatility still spends its pricings.
+		_, _ = volatility.Brent(q.Price, q.Option, count)
+	}
+	if got := metricValue(t, hs.URL, "binopt_solver_pricings_total") - before; got != float64(want) {
+		t.Errorf("binopt_solver_pricings_total rose by %v over one curve, per-quote Brent prices %d times", got, want)
 	}
 
 	resp, _ = postJSON(t, hs.URL+"/v1/volcurve", VolCurveRequest{})

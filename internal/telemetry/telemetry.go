@@ -24,29 +24,10 @@
 package telemetry
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// reqKey carries a request group ID through a context, so spans emitted
-// deep in the pipeline land in the same Chrome trace group as the
-// request span the HTTP handler opened.
-type reqKey struct{}
-
-// ContextWithReq tags ctx with a request group ID.
-func ContextWithReq(ctx context.Context, req uint64) context.Context {
-	return context.WithValue(ctx, reqKey{}, req)
-}
-
-// ReqFromContext extracts the request group ID, zero when untagged.
-func ReqFromContext(ctx context.Context) uint64 {
-	if v, ok := ctx.Value(reqKey{}).(uint64); ok {
-		return v
-	}
-	return 0
-}
 
 // Clock distinguishes which timeline a span's timestamps live on.
 type Clock uint8

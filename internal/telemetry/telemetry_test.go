@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -124,16 +123,4 @@ func TestDisabledTracer(t *testing.T) {
 		t.Error("nil tracer has counters")
 	}
 	tr.Reset()
-}
-
-// TestContextReq round-trips the request group through a context.
-func TestContextReq(t *testing.T) {
-	ctx := context.Background()
-	if got := ReqFromContext(ctx); got != 0 {
-		t.Errorf("untagged ctx req = %d", got)
-	}
-	ctx = ContextWithReq(ctx, 42)
-	if got := ReqFromContext(ctx); got != 42 {
-		t.Errorf("req = %d, want 42", got)
-	}
 }

@@ -99,11 +99,8 @@ func ContextWithTrace(ctx context.Context, tc TraceContext) context.Context {
 }
 
 // TraceFromContext extracts the trace context; the zero value when
-// untagged. It also honours the legacy req-only tagging of
-// ContextWithReq, so older call sites keep grouping spans correctly.
+// untagged.
 func TraceFromContext(ctx context.Context) TraceContext {
-	if tc, ok := ctx.Value(traceKey{}).(TraceContext); ok {
-		return tc
-	}
-	return TraceContext{Req: ReqFromContext(ctx)}
+	tc, _ := ctx.Value(traceKey{}).(TraceContext)
+	return tc
 }

@@ -75,8 +75,8 @@ func TestParseTraceParentMalformed(t *testing.T) {
 	}
 }
 
-// TestContextTrace: the full trace context round-trips, and the legacy
-// req-only tagging still surfaces through TraceFromContext.
+// TestContextTrace: the full trace context round-trips through a
+// context, and an untagged context yields the zero value.
 func TestContextTrace(t *testing.T) {
 	ctx := context.Background()
 	if tc := TraceFromContext(ctx); tc != (TraceContext{}) {
@@ -85,10 +85,6 @@ func TestContextTrace(t *testing.T) {
 	want := TraceContext{Trace: NewTraceID(), Req: 7}
 	if got := TraceFromContext(ContextWithTrace(ctx, want)); got != want {
 		t.Errorf("trace context = %+v, want %+v", got, want)
-	}
-	legacy := ContextWithReq(ctx, 42)
-	if got := TraceFromContext(legacy); got != (TraceContext{Req: 42}) {
-		t.Errorf("legacy req tagging = %+v, want Req=42", got)
 	}
 }
 

@@ -3,38 +3,11 @@ package volatility
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
+	"binopt/internal/option"
 	"binopt/internal/workload"
 )
-
-// Method selects the root finder used per quote.
-type Method int
-
-const (
-	// MethodBrent is the default (fewest pricings per quote).
-	MethodBrent Method = iota
-	// MethodNewton uses BS-vega Newton with bisection fallback.
-	MethodNewton
-	// MethodBisect is the fully robust baseline.
-	MethodBisect
-)
-
-// String names the method.
-func (m Method) String() string {
-	switch m {
-	case MethodBrent:
-		return "brent"
-	case MethodNewton:
-		return "newton"
-	case MethodBisect:
-		return "bisect"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
 
 // CurvePoint is one recovered point of the implied-volatility curve.
 type CurvePoint struct {
@@ -46,73 +19,77 @@ type CurvePoint struct {
 // Curve inverts every quote and returns the volatility curve sorted by
 // strike — the artefact the trader reads off the accelerator — plus the
 // number of quotes skipped because they carry no volatility information
-// (deep in-the-money American options pinned at intrinsic). workers
-// limits concurrency (<= 0 uses GOMAXPROCS); each quote costs the solver
-// a dozen or more full tree pricings, which is precisely why the paper
-// needs 2000+ options/s.
-func Curve(quotes []workload.Quote, pf PriceFunc, method Method, workers int) ([]CurvePoint, int, error) {
+// (deep in-the-money American options pinned at intrinsic). Each quote
+// costs the solver a dozen or more full tree pricings, which is
+// precisely why the paper needs 2000+ options/s.
+//
+// Every quote runs its own Brent inversion in lock step: each round
+// gathers the trial sigma of every quote still solving and prices them
+// all in one priceBatch call, so the batch pricer sees the whole chain
+// at once; priceBatch returns one price per option, in order. The
+// points, skipped count and pricings are those of Brent quote by quote.
+// A priceBatch error fails the curve, and so does any quote Brent fails
+// on other than with ErrNoVolInfo: the error names the lowest-index one.
+func Curve(quotes []workload.Quote, priceBatch func([]option.Option) ([]float64, error)) ([]CurvePoint, int, error) {
 	if len(quotes) == 0 {
 		return nil, 0, fmt.Errorf("volatility: no quotes")
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(quotes) {
-		workers = len(quotes)
-	}
-	solve := Brent
-	switch method {
-	case MethodNewton:
-		solve = Newton
-	case MethodBisect:
-		solve = Bisect
-	}
-
-	pts := make([]CurvePoint, len(quotes))
-	keep := make([]bool, len(quotes))
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		skipped  int
-		firstErr error
+		states  = make([]brent, len(quotes))
+		pts     = make([]CurvePoint, len(quotes))
+		keep    = make([]bool, len(quotes))
+		live    = make([]int, 0, len(quotes)) // quotes still solving, in index order
+		trial   = make([]option.Option, 0, len(quotes))
+		skipped int
+		failed  = len(quotes) // lowest failing quote so far
 	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				q := quotes[i]
-				iv, err := solve(q.Price, q.Option, pf, DefaultTol, DefaultMaxIter)
-				switch {
-				case errors.Is(err, ErrNoVolInfo):
-					mu.Lock()
-					skipped++
-					mu.Unlock()
-				case err != nil:
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("volatility: quote %d (K=%v): %w", i, q.Option.Strike, err)
-					}
-					mu.Unlock()
-				default:
-					pts[i] = CurvePoint{
-						Strike:  q.Option.Strike,
-						Mny:     q.Option.Strike / q.Option.Spot,
-						Implied: iv,
-					}
-					keep[i] = true
-				}
+	settle := func(i int, iv float64) {
+		switch err := states[i].err; {
+		case errors.Is(err, ErrNoVolInfo):
+			skipped++
+		case err != nil:
+			failed = min(failed, i)
+		default:
+			o := quotes[i].Option
+			pts[i] = CurvePoint{Strike: o.Strike, Mny: o.Strike / o.Spot, Implied: iv}
+			keep[i] = true
+		}
+	}
+	for i, q := range quotes {
+		sigma, done := states[i].start(q.Price, q.Option)
+		if done {
+			settle(i, sigma)
+			continue
+		}
+		o := q.Option
+		o.Sigma = sigma
+		live = append(live, i)
+		trial = append(trial, o)
+	}
+	for len(live) > 0 {
+		prices, err := priceBatch(trial)
+		if err != nil {
+			return nil, skipped, fmt.Errorf("volatility: pricing %d trial sigmas: %w", len(trial), err)
+		}
+		n := 0
+		for k, i := range live {
+			if i > failed {
+				break // a lower quote already failed: these cannot be reported
 			}
-		}()
+			sigma, done := states[i].next(prices[k])
+			if done {
+				settle(i, sigma)
+				continue
+			}
+			live[n], trial[n] = i, trial[k]
+			trial[n].Sigma = sigma
+			n++
+		}
+		live, trial = live[:n], trial[:n]
 	}
-	for i := range quotes {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, skipped, firstErr
+	if failed < len(quotes) {
+		q := quotes[failed]
+		return nil, skipped, fmt.Errorf("volatility: quote %d (K=%v): %w", failed, q.Option.Strike, states[failed].err)
 	}
 	out := pts[:0]
 	for i, k := range keep {

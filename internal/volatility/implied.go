@@ -2,9 +2,9 @@
 // the decision-aid use case that motivates the paper's accelerator: "a
 // trader can use our work to estimate the implied volatility curve of an
 // option ... A second per volatility curve (2000 option values per
-// volatility curve for accuracy considerations)" (§I). The solvers are
-// generic over the pricing engine, so the same curve can be produced by
-// the reference software or by either OpenCL kernel.
+// volatility curve for accuracy considerations)" (§I). The one solver,
+// Brent's method, is generic over the pricing engine, so the same curve
+// can be produced by the reference software or by either OpenCL kernel.
 package volatility
 
 import (
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 
-	"binopt/internal/bs"
 	"binopt/internal/option"
 )
 
@@ -37,15 +36,9 @@ const (
 	VolMax = 4.0
 	// DefaultTol is the price-space convergence tolerance.
 	DefaultTol = 1e-8
-	// DefaultMaxIter bounds all iterative solvers.
+	// DefaultMaxIter bounds Brent's steps per quote.
 	DefaultMaxIter = 100
 )
-
-// evalAt prices the contract at volatility sigma.
-func evalAt(pf PriceFunc, o option.Option, sigma float64) (float64, error) {
-	o.Sigma = sigma
-	return pf(o)
-}
 
 // checkQuote rejects prices that no volatility can explain: below the
 // zero-volatility floor or above the spot bound.
@@ -62,194 +55,132 @@ func checkQuote(price float64, o option.Option) error {
 	return nil
 }
 
-// floorCheck prices the contract at the volatility floor and classifies
-// the quote: below the floor it is unattainable, on the floor it carries
-// no volatility information, above it inversion can proceed.
-func floorCheck(price float64, o option.Option, pf PriceFunc, tol float64) (float64, error) {
-	floor, err := evalAt(pf, o, VolMin)
-	if err != nil {
-		return 0, err
+// brent is one quote's Brent's-method inversion held as a resumable
+// state: start and next hand out the sigma at which to price the
+// contract next, and take back the price found there, so that a caller
+// may price the trial sigmas of many quotes in one batch. The trial
+// sequence is fixed: one pricing at VolMin classifies the quote against
+// the zero-volatility floor, one at VolMax closes the bracket, then
+// inverse quadratic interpolation, secant and bisection steps run until
+// the price is within DefaultTol or DefaultMaxIter steps are spent.
+type brent struct {
+	price, sigma float64 // the quote and the last Brent step's trial sigma
+	step         int     // 0: floor pricing, 1: bracket pricing, 2+: Brent steps
+	// Bracket [a, b] with b the best estimate, c the previous b and d
+	// the one before it; f* are the price residuals there.
+	a, b, c, d, fa, fb, fc float64
+	mflag                  bool
+	err                    error // why the inversion stopped without a volatility
+}
+
+// start validates the quote and returns the first sigma to price, or
+// done when the quote is rejected outright (err says why).
+func (s *brent) start(price float64, o option.Option) (sigma float64, done bool) {
+	*s = brent{price: price}
+	if s.err = checkQuote(price, o); s.err != nil {
+		return 0, true
 	}
-	switch {
-	case price < floor-tol:
-		return floor, fmt.Errorf("volatility: quote %v below the zero-volatility floor %v", price, floor)
-	case price <= floor+tol:
-		return floor, ErrNoVolInfo
+	return VolMin, false
+}
+
+// next takes the price at the sigma last handed out and returns the next
+// sigma to price, or done with the implied volatility (0 and err set
+// when the quote has none).
+func (s *brent) next(v float64) (sigma float64, done bool) {
+	f := v - s.price
+	switch s.step {
+	case 0:
+		// The floor: below it the quote is unattainable, on it the
+		// quote carries no volatility information.
+		switch {
+		case s.price < v-DefaultTol:
+			return s.fail(fmt.Errorf("volatility: quote %v below the zero-volatility floor %v", s.price, v))
+		case s.price <= v+DefaultTol:
+			return s.fail(ErrNoVolInfo)
+		}
+		s.a, s.fa = VolMin, f
+		s.step = 1
+		return VolMax, false
+	case 1:
+		s.b, s.fb = VolMax, f
+		if s.fa*s.fb > 0 {
+			return s.fail(fmt.Errorf("volatility: quote %v not bracketed by [%v, %v]", s.price, VolMin, VolMax))
+		}
+		if math.Abs(s.fa) < math.Abs(s.fb) {
+			s.a, s.b, s.fa, s.fb = s.b, s.a, s.fb, s.fa
+		}
+		s.c, s.fc = s.a, s.fa
+		s.d = s.b - s.a
+		s.mflag = true
 	default:
-		return floor, nil
-	}
-}
-
-// Bisect recovers the implied volatility by bisection on [VolMin,
-// VolMax]. Robust and derivative-free; about 30-45 pricings per quote.
-func Bisect(price float64, o option.Option, pf PriceFunc, tol float64, maxIter int) (float64, error) {
-	if err := checkQuote(price, o); err != nil {
-		return 0, err
-	}
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIter
-	}
-	if _, err := floorCheck(price, o, pf, tol); err != nil {
-		return 0, err
-	}
-	lo, hi := VolMin, VolMax
-	fHi, err := evalAt(pf, o, hi)
-	if err != nil {
-		return 0, err
-	}
-	if price > fHi+tol {
-		return 0, fmt.Errorf("volatility: quote %v above the maximum attainable price %v", price, fHi)
-	}
-	var mid float64
-	for i := 0; i < maxIter; i++ {
-		mid = 0.5 * (lo + hi)
-		v, err := evalAt(pf, o, mid)
-		if err != nil {
-			return 0, err
-		}
-		if math.Abs(v-price) < tol || hi-lo < 1e-12 {
-			return mid, nil
-		}
-		if v < price {
-			lo = mid
+		s.d = s.c
+		s.c, s.fc = s.b, s.fb
+		if s.fa*f < 0 {
+			s.b, s.fb = s.sigma, f
 		} else {
-			hi = mid
+			s.a, s.fa = s.sigma, f
+		}
+		if math.Abs(s.fa) < math.Abs(s.fb) {
+			s.a, s.b, s.fa, s.fb = s.b, s.a, s.fb, s.fa
+		}
+		if math.Abs(s.b-s.a) < 1e-12 {
+			return s.b, true
 		}
 	}
-	return mid, nil
+	s.step++
+	if s.step-2 >= DefaultMaxIter || math.Abs(s.fb) < DefaultTol {
+		return s.b, true
+	}
+	a, b, c := s.a, s.b, s.c
+	var x float64
+	//binopt:ignore floateq Brent's method guard: exact inequality is what keeps the IQI denominators nonzero
+	if s.fa != s.fc && s.fb != s.fc {
+		// Inverse quadratic interpolation.
+		x = a*s.fb*s.fc/((s.fa-s.fb)*(s.fa-s.fc)) +
+			b*s.fa*s.fc/((s.fb-s.fa)*(s.fb-s.fc)) +
+			c*s.fa*s.fb/((s.fc-s.fa)*(s.fc-s.fb))
+	} else {
+		// Secant.
+		x = b - s.fb*(b-a)/(s.fb-s.fa)
+	}
+	lo, hi := (3*a+b)/4, b
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	if x < lo || x > hi ||
+		(s.mflag && math.Abs(x-b) >= math.Abs(b-c)/2) ||
+		(!s.mflag && math.Abs(x-b) >= math.Abs(c-s.d)/2) ||
+		(s.mflag && math.Abs(b-c) < 1e-14) ||
+		(!s.mflag && math.Abs(c-s.d) < 1e-14) {
+		x = 0.5 * (a + b)
+		s.mflag = true
+	} else {
+		s.mflag = false
+	}
+	s.sigma = x
+	return x, false
 }
 
-// Newton recovers the implied volatility by Newton–Raphson using the
-// Black–Scholes vega as the slope (the standard quasi-Newton for lattice
-// pricers, whose own vega is not analytic). Falls back to bisection when
-// the iteration leaves the bracket or stalls.
-func Newton(price float64, o option.Option, pf PriceFunc, tol float64, maxIter int) (float64, error) {
-	if err := checkQuote(price, o); err != nil {
-		return 0, err
-	}
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIter
-	}
-	if _, err := floorCheck(price, o, pf, tol); err != nil {
-		return 0, err
-	}
-	sigma := 0.3 // standard starting point
-	for i := 0; i < maxIter; i++ {
-		v, err := evalAt(pf, o, sigma)
-		if err != nil {
-			return 0, err
-		}
-		diff := v - price
-		if math.Abs(diff) < tol {
-			return sigma, nil
-		}
-		vegaOpt := o
-		vegaOpt.Sigma = sigma
-		vega, err := bs.Vega(vegaOpt)
-		if err != nil || vega < 1e-10 {
-			break // flat slope: bisection territory
-		}
-		next := sigma - diff/vega
-		if next <= VolMin || next >= VolMax || math.IsNaN(next) {
-			break
-		}
-		if math.Abs(next-sigma) < 1e-12 {
-			return next, nil
-		}
-		sigma = next
-	}
-	return Bisect(price, o, pf, tol, maxIter)
+// fail ends the inversion with err.
+func (s *brent) fail(err error) (float64, bool) {
+	s.err = err
+	return 0, true
 }
 
 // Brent recovers the implied volatility with Brent's method: bracketing
 // with inverse quadratic interpolation, the best of both worlds at ~10-15
-// pricings per quote.
-func Brent(price float64, o option.Option, pf PriceFunc, tol float64, maxIter int) (float64, error) {
-	if err := checkQuote(price, o); err != nil {
-		return 0, err
-	}
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIter
-	}
-	floor, err := floorCheck(price, o, pf, tol)
-	if err != nil {
-		return 0, err
-	}
-	f := func(sigma float64) (float64, error) {
-		v, err := evalAt(pf, o, sigma)
-		return v - price, err
-	}
-	a, b := VolMin, VolMax
-	fa := floor - price
-	fb, err := f(b)
-	if err != nil {
-		return 0, err
-	}
-	if fa*fb > 0 {
-		return 0, fmt.Errorf("volatility: quote %v not bracketed by [%v, %v]", price, VolMin, VolMax)
-	}
-	if math.Abs(fa) < math.Abs(fb) {
-		a, b, fa, fb = b, a, fb, fa
-	}
-	c, fc := a, fa
-	d := b - a
-	mflag := true
-	for i := 0; i < maxIter; i++ {
-		if math.Abs(fb) < tol {
-			return b, nil
-		}
-		var s float64
-		//binopt:ignore floateq Brent's method guard: exact inequality is what keeps the IQI denominators nonzero
-		if fa != fc && fb != fc {
-			// Inverse quadratic interpolation.
-			s = a*fb*fc/((fa-fb)*(fa-fc)) +
-				b*fa*fc/((fb-fa)*(fb-fc)) +
-				c*fa*fb/((fc-fa)*(fc-fb))
-		} else {
-			// Secant.
-			s = b - fb*(b-a)/(fb-fa)
-		}
-		lo, hi := (3*a+b)/4, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		cond := s < lo || s > hi ||
-			(mflag && math.Abs(s-b) >= math.Abs(b-c)/2) ||
-			(!mflag && math.Abs(s-b) >= math.Abs(c-d)/2) ||
-			(mflag && math.Abs(b-c) < 1e-14) ||
-			(!mflag && math.Abs(c-d) < 1e-14)
-		if cond {
-			s = 0.5 * (a + b)
-			mflag = true
-		} else {
-			mflag = false
-		}
-		fs, err := f(s)
+// pricings per quote. It prices one trial at a time; Curve runs the same
+// per-quote state for a whole chain in batch rounds.
+func Brent(price float64, o option.Option, pf PriceFunc) (float64, error) {
+	var s brent
+	sigma, done := s.start(price, o)
+	for !done {
+		o.Sigma = sigma
+		v, err := pf(o)
 		if err != nil {
 			return 0, err
 		}
-		d = c
-		c, fc = b, fb
-		if fa*fs < 0 {
-			b, fb = s, fs
-		} else {
-			a, fa = s, fs
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a, b, fa, fb = b, a, fb, fa
-		}
-		if math.Abs(b-a) < 1e-12 {
-			return b, nil
-		}
+		sigma, done = s.next(v)
 	}
-	return b, nil
+	return sigma, s.err
 }

@@ -17,30 +17,21 @@ func euro() option.Option {
 	}
 }
 
-// solvers under test, by name.
-var solvers = map[string]func(float64, option.Option, PriceFunc, float64, int) (float64, error){
-	"bisect": Bisect,
-	"newton": Newton,
-	"brent":  Brent,
-}
-
 func TestRoundTripBlackScholes(t *testing.T) {
 	// Price at a known sigma with the closed form, then recover it.
-	for name, solve := range solvers {
-		for _, trueSigma := range []float64{0.08, 0.2, 0.45, 0.9} {
-			o := euro()
-			o.Sigma = trueSigma
-			price, err := bs.Price(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := solve(price, o, bs.Price, 0, 0)
-			if err != nil {
-				t.Fatalf("%s sigma=%v: %v", name, trueSigma, err)
-			}
-			if math.Abs(got-trueSigma) > 1e-5 {
-				t.Errorf("%s: recovered %v, want %v", name, got, trueSigma)
-			}
+	for _, trueSigma := range []float64{0.08, 0.2, 0.45, 0.9} {
+		o := euro()
+		o.Sigma = trueSigma
+		price, err := bs.Price(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Brent(price, o, bs.Price)
+		if err != nil {
+			t.Fatalf("sigma=%v: %v", trueSigma, err)
+		}
+		if math.Abs(got-trueSigma) > 1e-5 {
+			t.Errorf("recovered %v, want %v", got, trueSigma)
 		}
 	}
 }
@@ -51,7 +42,6 @@ func TestRoundTripLatticeAmerican(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf := PriceFunc(eng.Price)
 	o := euro()
 	o.Style = option.American
 	o.Sigma = 0.27
@@ -59,35 +49,39 @@ func TestRoundTripLatticeAmerican(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, solve := range solvers {
-		got, err := solve(price, o, pf, 0, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if math.Abs(got-0.27) > 1e-4 {
-			t.Errorf("%s: recovered %v, want 0.27", name, got)
-		}
+	got, err := Brent(price, o, eng.Price)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got-0.27) > 1e-4 {
+		t.Errorf("recovered %v, want 0.27", got)
 	}
 }
 
 func TestQuoteValidation(t *testing.T) {
+	// Each is rejected before a single pricing.
+	pf := func(option.Option) (float64, error) {
+		t.Fatal("an invalid quote was priced")
+		return 0, nil
+	}
 	o := euro()
-	for name, solve := range solvers {
-		if _, err := solve(-1, o, bs.Price, 0, 0); err == nil {
-			t.Errorf("%s: negative price should fail", name)
-		}
-		if _, err := solve(0, o, bs.Price, 0, 0); err == nil {
-			t.Errorf("%s: zero price should fail", name)
-		}
-		// Put priced above strike is impossible.
-		if _, err := solve(200, o, bs.Price, 0, 0); err == nil {
-			t.Errorf("%s: impossible put quote should fail", name)
-		}
-		call := o
-		call.Right = option.Call
-		if _, err := solve(150, call, bs.Price, 0, 0); err == nil {
-			t.Errorf("%s: call above spot should fail", name)
-		}
+	if _, err := Brent(-1, o, pf); err == nil {
+		t.Error("negative price should fail")
+	}
+	if _, err := Brent(0, o, pf); err == nil {
+		t.Error("zero price should fail")
+	}
+	if _, err := Brent(math.NaN(), o, pf); err == nil {
+		t.Error("NaN price should fail")
+	}
+	// Put priced above strike is impossible.
+	if _, err := Brent(200, o, pf); err == nil {
+		t.Error("impossible put quote should fail")
+	}
+	call := o
+	call.Right = option.Call
+	if _, err := Brent(150, call, pf); err == nil {
+		t.Error("call above spot should fail")
 	}
 }
 
@@ -101,31 +95,17 @@ func TestUnattainableQuote(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := floor * 0.5
-	if _, err := Bisect(bad, o, bs.Price, 0, 0); err == nil {
-		t.Error("bisect: below-floor quote should fail")
+	if _, err := Brent(bad, o, bs.Price); err == nil || errors.Is(err, ErrNoVolInfo) {
+		t.Errorf("below-floor quote: err = %v, want an unattainable-quote error", err)
 	}
-	if _, err := Brent(bad, o, bs.Price, 0, 0); err == nil {
-		t.Error("brent: below-floor quote should fail")
-	}
-}
-
-func TestNewtonFallsBackNearZeroVega(t *testing.T) {
-	// Moderately ITM short-dated options have small vega: Newton must
-	// not explode, just fall back and still converge.
-	o := euro()
-	o.Strike = 125
-	o.T = 0.15
-	o.Sigma = 0.35
-	price, err := bs.Price(o)
+	// Above the VolMax price the quote is not bracketed either.
+	o.Strike = 105
+	top, err := bs.Price(func() option.Option { oo := o; oo.Sigma = VolMax; return oo }())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Newton(price, o, bs.Price, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back, _ := bs.Price(func() option.Option { oo := o; oo.Sigma = got; return oo }()); math.Abs(back-price) > 1e-6 {
-		t.Errorf("recovered sigma reprices to %v, want %v", back, price)
+	if _, err := Brent(math.Min(top+1e-3, o.Strike), o, bs.Price); err == nil {
+		t.Error("quote above the VolMax price should fail")
 	}
 }
 
@@ -141,35 +121,31 @@ func TestExtremeITMQuoteHasNoVolInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, solve := range solvers {
-		if _, err := solve(price, o, bs.Price, 0, 0); !errors.Is(err, ErrNoVolInfo) {
-			t.Errorf("%s: err = %v, want ErrNoVolInfo", name, err)
-		}
+	if _, err := Brent(price, o, bs.Price); !errors.Is(err, ErrNoVolInfo) {
+		t.Errorf("err = %v, want ErrNoVolInfo", err)
 	}
 }
 
 func TestSolverEfficiencyOrdering(t *testing.T) {
-	// Brent should need far fewer pricings than bisection.
-	count := func(solve func(float64, option.Option, PriceFunc, float64, int) (float64, error)) int {
-		n := 0
-		pf := func(o option.Option) (float64, error) {
-			n++
-			return bs.Price(o)
-		}
-		o := euro()
-		o.Sigma = 0.33
-		price, err := bs.Price(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := solve(price, o, pf, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		return n
+	// Brent should need far fewer pricings than bisection, which spends
+	// two pricings classifying and bracketing the quote and then one per
+	// halving of [VolMin, VolMax] down to the 1e-12 stopping width.
+	n := 0
+	pf := func(o option.Option) (float64, error) {
+		n++
+		return bs.Price(o)
 	}
-	nBisect := count(Bisect)
-	nBrent := count(Brent)
-	if nBrent >= nBisect {
-		t.Errorf("brent used %d pricings vs bisect %d; expected fewer", nBrent, nBisect)
+	o := euro()
+	o.Sigma = 0.33
+	price, err := bs.Price(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Brent(price, o, pf); err != nil {
+		t.Fatal(err)
+	}
+	nBisect := 2 + int(math.Ceil(math.Log2((VolMax-VolMin)/1e-12)))
+	if n > 15 || n >= nBisect {
+		t.Errorf("brent used %d pricings; want at most 15 and fewer than bisection's %d", n, nBisect)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"binopt/internal/option"
 	"binopt/internal/workload"
 )
 
@@ -18,9 +19,10 @@ type Surface struct {
 }
 
 // BuildSurface groups the quotes by expiry, inverts each group into a
-// curve, and assembles the surface. It returns the surface and the total
-// number of skipped (no-vol-information) quotes.
-func BuildSurface(quotes []workload.Quote, pf PriceFunc, method Method, workers int) (*Surface, int, error) {
+// curve through priceBatch (see Curve), and assembles the surface. It
+// returns the surface and the total number of skipped
+// (no-vol-information) quotes.
+func BuildSurface(quotes []workload.Quote, priceBatch func([]option.Option) ([]float64, error)) (*Surface, int, error) {
 	if len(quotes) == 0 {
 		return nil, 0, fmt.Errorf("volatility: no quotes for surface")
 	}
@@ -37,7 +39,7 @@ func BuildSurface(quotes []workload.Quote, pf PriceFunc, method Method, workers 
 	s := &Surface{maturities: maturities}
 	skipped := 0
 	for _, t := range maturities {
-		pts, sk, err := Curve(groups[t], pf, method, workers)
+		pts, sk, err := Curve(groups[t], priceBatch)
 		skipped += sk
 		if err != nil {
 			return nil, skipped, fmt.Errorf("volatility: maturity %v: %w", t, err)

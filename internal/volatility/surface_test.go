@@ -39,7 +39,7 @@ func buildSurfaceQuotes(t *testing.T, perMaturity, steps int, maturities []float
 func TestSurfaceRecoversSmileAcrossMaturities(t *testing.T) {
 	mats := []float64{0.25, 0.5, 1.0}
 	quotes, eng := buildSurfaceQuotes(t, 14, 64, mats)
-	surf, skipped, err := BuildSurface(quotes, eng.Price, MethodBrent, 0)
+	surf, skipped, err := BuildSurface(quotes, engineBatch(eng, new(int)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSurfaceRecoversSmileAcrossMaturities(t *testing.T) {
 
 func TestSurfaceInterpolatesBetweenMaturities(t *testing.T) {
 	quotes, eng := buildSurfaceQuotes(t, 10, 64, []float64{0.25, 1.0})
-	surf, _, err := BuildSurface(quotes, eng.Price, MethodBrent, 0)
+	surf, _, err := BuildSurface(quotes, engineBatch(eng, new(int)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSurfaceInterpolatesBetweenMaturities(t *testing.T) {
 
 func TestSurfaceClampsOutsideRange(t *testing.T) {
 	quotes, eng := buildSurfaceQuotes(t, 10, 64, []float64{0.5})
-	surf, _, err := BuildSurface(quotes, eng.Price, MethodBrent, 0)
+	surf, _, err := BuildSurface(quotes, engineBatch(eng, new(int)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSurfaceClampsOutsideRange(t *testing.T) {
 
 func TestSurfaceQueryValidation(t *testing.T) {
 	quotes, eng := buildSurfaceQuotes(t, 8, 48, []float64{0.5})
-	surf, _, err := BuildSurface(quotes, eng.Price, MethodBrent, 0)
+	surf, _, err := BuildSurface(quotes, engineBatch(eng, new(int)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestSurfaceQueryValidation(t *testing.T) {
 
 func TestBuildSurfaceErrors(t *testing.T) {
 	_, eng := buildSurfaceQuotes(t, 2, 32, []float64{0.5})
-	if _, _, err := BuildSurface(nil, eng.Price, MethodBrent, 0); err == nil {
+	if _, _, err := BuildSurface(nil, engineBatch(eng, new(int))); err == nil {
 		t.Error("empty quotes should fail")
 	}
 }
