@@ -86,13 +86,3 @@ func PriceAndGreeks(o option.Option) (float64, Greeks, error) {
 	}
 	return v, g, nil
 }
-
-// Vega returns only the volatility sensitivity, without the price and
-// the other Greeks.
-func Vega(o option.Option) (float64, error) {
-	if err := o.Validate(); err != nil {
-		return 0, err
-	}
-	d1, _ := d1d2(o)
-	return o.Spot * math.Exp(-o.Div*o.T) * mathx.NormPDF(d1) * math.Sqrt(o.T), nil
-}

@@ -164,26 +164,6 @@ func TestGreeksAgainstFiniteDifferences(t *testing.T) {
 	}
 }
 
-func TestVegaMatchesPriceAndGreeks(t *testing.T) {
-	o := euro(option.Put)
-	_, g, err := PriceAndGreeks(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := Vega(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != g.Vega {
-		t.Errorf("Vega = %v, PriceAndGreeks.Vega = %v", v, g.Vega)
-	}
-	bad := o
-	bad.Spot = -1
-	if _, err := Vega(bad); err == nil {
-		t.Error("Vega must validate input")
-	}
-}
-
 func TestPriceBounds(t *testing.T) {
 	// European call is bounded by S*exp(-qT) above and intrinsic of the
 	// forward below.

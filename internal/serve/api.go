@@ -6,11 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
+	"binopt/internal/accel"
 	"binopt/internal/obslog"
 	"binopt/internal/option"
 	"binopt/internal/telemetry"
@@ -108,8 +111,8 @@ type QuoteJSON struct {
 
 // VolCurveRequest is the body of POST /v1/volcurve. Either supply quotes
 // explicitly, or set N (and optionally Seed) to run the paper's use case:
-// the server generates the 2000-put chain, prices it on the reference
-// lattice, and recovers the smile.
+// the server generates an N-put DefaultVolCurveSpec chain, quotes it on
+// a reference lattice, and recovers the smile on its shards.
 type VolCurveRequest struct {
 	Quotes []QuoteJSON `json:"quotes,omitempty"`
 	N      int         `json:"n,omitempty"`
@@ -128,6 +131,9 @@ type VolCurveResponse struct {
 	Steps   int             `json:"steps"`
 	Points  []VolCurvePoint `json:"points"`
 	Skipped int             `json:"skipped"` // quotes with no vol information
+	// ModelledJoules is the modelled energy of every solver round on
+	// the shards that priced it: pricings × each shard's J/option.
+	ModelledJoules float64 `json:"modelled_joules"`
 }
 
 type errorResponse struct {
@@ -153,6 +159,61 @@ func ParsePriceRequest(body []byte) (PriceRequest, error) {
 		return req, fmt.Errorf("no contracts in request")
 	}
 	return req, nil
+}
+
+// ParseVolCurveRequest decodes a POST /v1/volcurve body: explicit
+// quotes, or N > 0 for a generated chain (quotes win when both are
+// set). A curve of more than limit quotes is refused with
+// ErrBatchTooLarge before anything is priced, as /v1/price refuses a
+// batch larger than the queue depth.
+func ParseVolCurveRequest(body []byte, limit int) (VolCurveRequest, error) {
+	var req VolCurveRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return req, fmt.Errorf("bad JSON: %v", err)
+	}
+	n := len(req.Quotes)
+	if n == 0 {
+		n = req.N
+	}
+	switch {
+	case n <= 0:
+		return req, fmt.Errorf("supply quotes or n > 0")
+	case n > limit:
+		return req, fmt.Errorf("%w: %d quotes > depth %d", ErrBatchTooLarge, n, limit)
+	}
+	return req, nil
+}
+
+// Resolve converts the wire request into the quotes the solver inverts:
+// the explicit quotes, or the generated chain priced on a reference
+// lattice at steps. Every quote is a valid contract with a positive
+// price.
+func (r VolCurveRequest) Resolve(steps int) ([]workload.Quote, error) {
+	quotes := make([]workload.Quote, len(r.Quotes))
+	for i, q := range r.Quotes {
+		o, err := q.Contract.ToOption()
+		if err != nil {
+			return nil, fmt.Errorf("quote %d: %v", i, err)
+		}
+		quotes[i] = workload.Quote{Option: o, Price: q.Price}
+	}
+	if len(quotes) == 0 {
+		spec := workload.DefaultVolCurveSpec(r.Seed)
+		spec.N = r.N
+		chain, err := workload.Chain(spec)
+		if err != nil {
+			return nil, err
+		}
+		if quotes, err = workload.ReferenceQuotes(chain, steps, 0); err != nil {
+			return nil, err
+		}
+	}
+	for i, q := range quotes {
+		if !(q.Price > 0) {
+			return nil, fmt.Errorf("quote %d: price must be positive, got %v", i, q.Price)
+		}
+	}
+	return quotes, nil
 }
 
 // Handler returns the service's HTTP API:
@@ -240,163 +301,213 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
+// edge is one request at the node's HTTP edge: what every pricing
+// endpoint shares before and after its work, as cluster.Router's edge
+// is at the fleet's.
+type edge struct {
+	s       *Server
+	w       http.ResponseWriter
+	path    string
+	started time.Time
+	// batch selects the SLO class: batch-class requests count toward
+	// availability but are exempt from the interactive latency budget.
+	batch bool
+	trace string // distributed trace ID ("" untraced)
+	span  *telemetry.Active
+	log   *slog.Logger
+	body  []byte
+}
+
+// begin runs the prologue every pricing endpoint shares: POST only,
+// count the request on reqs, adopt the caller's traceparent (parenting
+// this node's spans under the remote request) or mint a trace, open the
+// request span, refuse new work once Close has begun, and read the
+// bounded body. A malformed traceparent is served untraced-parented,
+// not rejected. When begin returns false it has already answered the
+// client; otherwise the caller ends e.span.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, reqs *atomic.Int64, batch bool) (*edge, bool) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+		return nil, false
 	}
-	s.metrics.requests.Add(1)
-	started := time.Now()
-
-	// Distributed trace identity: adopt the router's traceparent when
-	// one arrives (parenting this node's spans under the remote
-	// request), mint a fresh trace ID otherwise. A malformed header is
-	// served untraced-parented, not rejected.
+	reqs.Add(1)
+	e := &edge{s: s, w: w, path: r.URL.Path, started: time.Now(), batch: batch}
 	trace, parent, fromRemote := telemetry.ParseTraceParent(r.Header.Get("traceparent"))
 	if !fromRemote && s.tracer.Enabled() {
 		trace = telemetry.NewTraceID()
 	}
-
-	span := s.tracer.Begin("POST /v1/price", "host", "requests")
-	span.SetReq(span.ID())
-	span.SetTrace(trace)
+	e.trace = trace
+	e.span = s.tracer.Begin("POST "+e.path, "host", "requests")
+	e.span.SetReq(e.span.ID())
+	e.span.SetTrace(trace)
 	if fromRemote {
-		span.SetAttr("parent_span", fmt.Sprintf("%016x", parent))
+		e.span.SetAttr("parent_span", fmt.Sprintf("%016x", parent))
 	}
-	defer span.End()
-	log := obslog.WithTrace(s.logger, trace, span.ID())
-
-	// The SLO monitor books every terminal outcome exactly once. Client
-	// mistakes (4xx) and backpressure (429) spend no error budget — the
-	// objectives cover what the server owes well-formed traffic.
-	observe := func(failed bool) { s.slomon.Observe(time.Since(started), failed) }
-
+	e.log = obslog.WithTrace(s.logger, trace, e.span.ID())
+	if s.closed.Load() {
+		e.fail(http.StatusServiceUnavailable, ErrClosed)
+		e.span.End()
+		return nil, false
+	}
 	body, status, err := ReadBody(w, r)
 	if err != nil {
+		e.span.End()
 		s.writeError(w, status, "reading body: %v", err)
+		return nil, false
+	}
+	e.body = body
+	return e, true
+}
+
+// observe books the request's terminal outcome on the SLO monitor.
+func (e *edge) observe(failed bool) {
+	if e.batch {
+		e.s.slomon.ObserveBatch(failed)
 		return
 	}
+	e.s.slomon.Observe(time.Since(e.started), failed)
+}
 
-	req, err := ParsePriceRequest(body)
+// fail answers a request its endpoint could not serve. The SLO monitor
+// books every terminal outcome exactly once, and client mistakes (4xx)
+// and backpressure (429, which carries Retry-After) spend no error
+// budget — the objectives cover what the server owes well-formed
+// traffic. A server-side failure (≥500) is booked and logged with
+// attrs.
+func (e *edge) fail(status int, err error, attrs ...any) {
+	switch {
+	case status == http.StatusTooManyRequests:
+		e.w.Header().Set("Retry-After", strconv.Itoa(int(e.s.RetryAfter()/time.Second)))
+	case status >= 500:
+		e.observe(true)
+		e.log.Warn("request failed", append(attrs, "path", e.path, "status", status, "error", err.Error())...)
+	}
+	e.s.writeError(e.w, status, "%v", err)
+}
+
+// reply books a success and answers v, echoing the trace identity so
+// the client (loadgen, curl) can jump from a response straight to the
+// merged trace.
+func (e *edge) reply(v any) {
+	e.observe(false)
+	if e.trace != "" && e.span.ID() != 0 {
+		e.w.Header().Set("traceparent", telemetry.FormatTraceParent(e.trace, e.span.ID()))
+	}
+	writeJSON(e.w, http.StatusOK, v)
+}
+
+// statusOf maps a serving error to its HTTP status: a batch too large
+// for the queue 413, saturation 429, shutdown 503, anything else
+// otherwise.
+func statusOf(err error, otherwise int) int {
+	switch {
+	case errors.Is(err, ErrBatchTooLarge):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, ErrSaturated):
+		return http.StatusTooManyRequests
+	case errors.Is(err, ErrClosed):
+		return http.StatusServiceUnavailable
+	}
+	return otherwise
+}
+
+func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
+	e, ok := s.begin(w, r, &s.metrics.requests, false)
+	if !ok {
+		return
+	}
+	defer e.span.End()
+	req, err := ParsePriceRequest(e.body)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		e.fail(http.StatusBadRequest, err)
 		return
 	}
-
 	opts := make([]option.Option, len(req.Contracts))
 	for i, c := range req.Contracts {
 		o, err := c.ToOption()
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "contract %d: %v", i, err)
+			e.fail(http.StatusBadRequest, fmt.Errorf("contract %d: %v", i, err))
 			return
 		}
 		opts[i] = o
 	}
 
-	span.SetAttr("contracts", len(opts))
-	ctx := telemetry.ContextWithTrace(r.Context(), telemetry.TraceContext{Trace: trace, Req: span.ID()})
+	e.span.SetAttr("contracts", len(opts))
+	ctx := telemetry.ContextWithTrace(r.Context(), telemetry.TraceContext{Trace: e.trace, Req: e.span.ID()})
 	results, phases, err := s.PriceOptionsTimed(ctx, opts)
-	switch {
-	case errors.Is(err, ErrSaturated):
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.RetryAfter()/time.Second)))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
-		return
-	case errors.Is(err, ErrBatchTooLarge):
-		s.writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
-		return
-	case errors.Is(err, ErrClosed):
-		observe(true)
-		s.writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case err != nil:
-		observe(true)
-		log.Warn("price request failed", "contracts", len(opts), "error", err.Error())
-		s.writeError(w, http.StatusInternalServerError, "%v", err)
+	if err != nil {
+		e.fail(statusOf(err, http.StatusInternalServerError), err, "contracts", len(opts))
 		return
 	}
-	observe(false)
-	s.metrics.requestJoules.ObserveExemplar(phases.Joules, trace)
-	span.SetAttr("priced", phases.Priced)
-	span.SetAttr("joules", phases.Joules)
-	if trace != "" && span.ID() != 0 {
-		// Echo the trace identity so the client (loadgen, curl) can
-		// jump from a response straight to the merged trace.
-		w.Header().Set("traceparent", telemetry.FormatTraceParent(trace, span.ID()))
-	}
+	s.metrics.requestJoules.ObserveExemplar(phases.Joules, e.trace)
+	e.span.SetAttr("priced", phases.Priced)
+	e.span.SetAttr("joules", phases.Joules)
 	w.Header().Set("Server-Timing", phases.ServerTiming())
-	writeJSON(w, http.StatusOK, PriceResponse{Steps: s.cfg.Steps, Results: results})
-	log.Debug("price request served",
+	e.reply(PriceResponse{Steps: s.cfg.Steps, Results: results})
+	e.log.Debug("price request served",
 		"contracts", len(opts), "priced", phases.Priced,
-		"joules", phases.Joules, "latency", time.Since(started).Seconds())
+		"joules", phases.Joules, "latency", time.Since(e.started).Seconds())
 }
 
+// handleVolCurve solves an implied-volatility curve in lock-step rounds
+// (volatility.Curve), each round one batch submission through the shard
+// runner: placed energy-first, admitted, failed over and metered in
+// modelled joules like every other pricing. The rounds carry fresh
+// trial sigmas, so they bypass the result cache.
 func (s *Server) handleVolCurve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
+	// Batch class: a 2000-quote curve is seconds of work by design.
+	e, ok := s.begin(w, r, &s.metrics.volcurveReqs, true)
+	if !ok {
 		return
 	}
-	if s.closed.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, "%v", ErrClosed)
+	defer e.span.End()
+	req, err := ParseVolCurveRequest(e.body, s.cfg.QueueDepth)
+	if err != nil {
+		e.fail(statusOf(err, http.StatusBadRequest), err)
 		return
 	}
-	s.metrics.volcurveReqs.Add(1)
+	quotes, err := req.Resolve(s.cfg.Steps)
+	if err != nil {
+		e.fail(http.StatusBadRequest, err)
+		return
+	}
+	e.span.SetAttr("quotes", len(quotes))
 
-	var req VolCurveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(&req); err != nil {
-		s.writeError(w, bodyStatus(err), "bad JSON: %v", err)
-		return
-	}
-
-	var quotes []workload.Quote
-	switch {
-	case len(req.Quotes) > 0:
-		quotes = make([]workload.Quote, len(req.Quotes))
-		for i, q := range req.Quotes {
-			o, err := q.Contract.ToOption()
-			if err != nil {
-				s.writeError(w, http.StatusBadRequest, "quote %d: %v", i, err)
-				return
-			}
-			if q.Price <= 0 {
-				s.writeError(w, http.StatusBadRequest, "quote %d: price must be positive, got %v", i, q.Price)
-				return
-			}
-			quotes[i] = workload.Quote{Option: o, Price: q.Price}
-		}
-	case req.N > 0:
-		spec := workload.DefaultVolCurveSpec(req.Seed)
-		spec.N = req.N
-		chain, err := workload.Chain(spec)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		quotes, err = workload.ReferenceQuotes(chain, s.cfg.Steps, 0)
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-	default:
-		s.writeError(w, http.StatusBadRequest, "supply quotes or n > 0")
-		return
-	}
-
-	// The solver's rounds carry fresh sigmas every iteration, so they
-	// bypass the cache; we still meter them.
+	var joules float64
+	var shardErr error
 	priceBatch := func(opts []option.Option) ([]float64, error) {
+		var prices []float64
+		be, err := s.onShard(int64(len(opts)), e.log, func(eng *accel.Engine) (err error) {
+			prices, err = eng.PriceBatch(opts, 0)
+			return err
+		})
+		if err != nil {
+			shardErr = err
+			return nil, err
+		}
+		j := float64(len(opts)) * be.joules
 		s.metrics.solverPricings.Add(int64(len(opts)))
-		return s.engine.PriceBatch(opts, 0)
+		s.metrics.solverJoules.add(j)
+		joules += j
+		return prices, nil
 	}
 	points, skipped, err := volatility.Curve(quotes, priceBatch)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "%v", err)
+	switch {
+	case shardErr != nil:
+		e.fail(statusOf(shardErr, http.StatusInternalServerError), err, "quotes", len(quotes))
+		return
+	case err != nil:
+		// Every other Curve error is about a quote: the client's fault.
+		e.fail(http.StatusBadRequest, err)
 		return
 	}
+	s.metrics.requestJoules.ObserveExemplar(joules, e.trace)
+	e.span.SetAttr("joules", joules)
 	out := make([]VolCurvePoint, len(points))
 	for i, p := range points {
 		out[i] = VolCurvePoint{Strike: p.Strike, Moneyness: p.Mny, Implied: p.Implied}
 	}
-	writeJSON(w, http.StatusOK, VolCurveResponse{Steps: s.cfg.Steps, Points: out, Skipped: skipped})
+	e.reply(VolCurveResponse{Steps: s.cfg.Steps, Points: out, Skipped: skipped, ModelledJoules: joules})
 }
 
 // InvalidateRequest is the body of POST /v1/invalidate: a market-data

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"log/slog"
 	"math"
 	"reflect"
 	"slices"
@@ -71,13 +72,13 @@ type backend struct {
 	jobs   chan []*job
 	joules float64 // modelled joules per option on this device
 	rate   float64 // modelled options per second on this device
-	// pending counts options dispatched to this shard (a running
-	// revaluation's contracts included) and not yet completed or failed
+	// pending counts options dispatched to this shard (those of work
+	// onShard is running included) and not yet completed or failed
 	// over; admission reads it to estimate drain time.
 	pending atomic.Int64
 	// inflight counts work holding a slot on this shard: batches queued
-	// or executing, and revaluations running on its engine. Fewer than
-	// Workers in flight means a worker is idle, which energy-first
+	// or executing, and work onShard is running on its engine. Fewer
+	// than Workers in flight means a worker is idle, which energy-first
 	// placement looks for.
 	inflight atomic.Int64
 	priced   *atomic.Int64 // metrics counter: options priced here
@@ -129,7 +130,7 @@ func (s *Server) submit(jobs []*job) error {
 
 // kick follows every release of a shard slot: it hands the batcher's
 // oldest buffered chunk, if any, to placement. Its callers — a batch
-// worker, a finished revaluation — free their slot first, which is what
+// worker, the shard runner — free their slot first, which is what
 // makes the batcher's idle trigger lose no wakeup.
 func (s *Server) kick() {
 	if batch := s.batcher.next(); batch != nil {
@@ -182,7 +183,7 @@ func (s *Server) candidates(exclude *backend) []*backend {
 }
 
 // place is the pool's one placement policy, shared by contract batches
-// and scenario revaluations, over the candidates above. The work is
+// and the work onShard runs, over the candidates above. The work is
 // offered to each candidate until take accepts it: energy-first, the
 // lowest-joules shard with an idle worker (take(be, true)), so the
 // cheap devices take the load before a faster, hungrier one is woken;
@@ -255,12 +256,56 @@ func (s *Server) await(batch []*job, cands []*backend) {
 	be.pending.Add(int64(len(batch)))
 }
 
+// onShard is the shard runner for work that runs on an engine from its
+// request goroutine: a scenario revaluation, or one round of an
+// implied-vol curve. It places the work with place, the policy contract
+// batches follow, and returns the shard whose engine run succeeded on.
+// The work holds a reserve slot of n options on its shard while run
+// executes, so contract dispatch and Retry-After see the load, and
+// kicks the batcher once it releases the slot, as a batch worker does.
+// It returns ErrClosed once Close has begun and ErrSaturated when no
+// shard has a slot left. A failed attempt is booked the way failJob
+// books one — breaker, shard and node error counters, retry counter —
+// and run moves, after retryBackoff, to the best shard other than the
+// one it failed on, within MaxAttempts.
+func (s *Server) onShard(n int64, log *slog.Logger, run func(*accel.Engine) error) (*backend, error) {
+	if s.closed.Load() {
+		return nil, ErrClosed
+	}
+	var failed *backend
+	for attempt := 1; ; attempt++ {
+		be, _ := s.place(failed, func(be *backend, idleOnly bool) bool { return be.reserve(n, idleOnly) })
+		if be == nil {
+			s.metrics.rejected.Add(1)
+			return nil, ErrSaturated
+		}
+		err := run(be.cfg.Engine)
+		be.release(n)
+		s.kick()
+		if err == nil {
+			be.breaker.onSuccess()
+			return be, nil
+		}
+		be.breaker.onFailure()
+		be.errs.Add(1)
+		s.metrics.priceErrors.Add(1)
+		if attempt >= s.cfg.MaxAttempts {
+			return nil, fmt.Errorf("%d attempt(s) failed, last on %s: %w", attempt, be.cfg.Name, err)
+		}
+		s.metrics.retries.Add(1)
+		backoff := retryBackoff(s.cfg.RetryBackoff, attempt)
+		log.Warn("shard attempt failed, retrying on another shard",
+			"backend", be.cfg.Name, "attempt", attempt, "backoff", backoff.String(), "error", err.Error())
+		time.Sleep(backoff)
+		failed = be
+	}
+}
+
 // reserve claims one in-flight slot of n options on the shard: with
 // idleOnly only while a worker is idle, otherwise while the shard's
 // declared capacity — Workers executing plus QueueDepth queued — has
 // room. Batches hold the slot from offer until their worker finishes;
-// a revaluation, which runs on the shard's engine from its request
-// goroutine, holds it until release.
+// work run by onShard holds it until release.
 func (be *backend) reserve(n int64, idleOnly bool) bool {
 	limit := int64(be.cfg.Workers)
 	if !idleOnly {

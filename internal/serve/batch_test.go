@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"binopt/internal/accel"
+	"binopt/internal/lattice"
 	"binopt/internal/option"
 	"binopt/internal/scenario"
 )
@@ -67,11 +68,21 @@ func (g *gate) hook() error {
 
 func (g *gate) open() { g.once.Do(func() { close(g.step) }) }
 
-// refPrice is the reference lattice's price of o, which every shard
-// must reproduce bit for bit.
+// refEngine is a reference lattice at the server's depth, which every
+// shard must reproduce bit for bit.
+func refEngine(t testing.TB, s *Server) *lattice.Engine {
+	t.Helper()
+	eng, err := lattice.NewEngine(s.Steps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// refPrice is the reference lattice's price of o.
 func refPrice(t testing.TB, s *Server, o option.Option) float64 {
 	t.Helper()
-	want, err := s.engine.Price(o)
+	want, err := refEngine(t, s).Price(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +298,7 @@ func TestRevaluationReleaseFlushesBuffer(t *testing.T) {
 	if n := s.batcher.pendingLen(); n != 0 {
 		t.Fatalf("buffer still holds %d jobs after the revaluation released its slot", n)
 	}
-	ref, err := s.engine.Price(testOption(0))
+	ref, err := refEngine(t, s).Price(testOption(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,6 +391,7 @@ func TestBatcherStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := refEngine(t, s)
 	const clients, perClient = 32, 25
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -397,7 +409,7 @@ func TestBatcherStress(t *testing.T) {
 					return
 				}
 				for i, o := range opts {
-					want, err := s.engine.Price(o)
+					want, err := ref.Price(o)
 					if err != nil || res[i].Price != want {
 						t.Errorf("client %d request %d contract %d: price %v, want %v (%v)", c, r, i, res[i].Price, want, err)
 					}
@@ -543,13 +555,14 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		return nil
 	})
 
+	ref := refEngine(t, s)
 	const n = 12
 	results := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			res, err := s.PriceOptions(context.Background(), []option.Option{testOption(i)})
 			if err == nil {
-				if want, rerr := s.engine.Price(testOption(i)); rerr != nil || res[0].Price != want {
+				if want, rerr := ref.Price(testOption(i)); rerr != nil || res[0].Price != want {
 					err = errors.New("wrong price after drain")
 				}
 			}

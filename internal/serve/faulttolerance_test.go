@@ -54,7 +54,7 @@ func TestFailoverAbsorbsShardFaults(t *testing.T) {
 		t.Fatalf("PriceOptions under 20%% shard faults: %v", err)
 	}
 
-	want, err := s.engine.PriceBatch(chain, 0)
+	want, err := refEngine(t, s).PriceBatch(chain, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,6 +114,49 @@ func FuzzParseScenarioRequest(f *testing.F) {
 	})
 }
 
+// FuzzParseVolCurveRequest feeds arbitrary bodies to the /v1/volcurve
+// parser and resolver. Neither may panic, and an accepted request
+// resolves to 1..limit quotes, each a valid contract with a positive
+// price: the bound holds before the generated form prices its chain.
+func FuzzParseVolCurveRequest(f *testing.F) {
+	const limit, steps = 64, 16
+	for _, seed := range []string{
+		`{"n":16,"seed":7}`,
+		`{"n":64,"seed":-1}`,
+		`{"n":65}`,
+		`{"n":1000000000}`,
+		`{"n":0}`,
+		`{"n":-3,"quotes":[]}`,
+		`{"quotes":[{"contract":{"right":"put","style":"american","spot":100,"strike":105,"rate":0.03,"sigma":0.2,"t":0.5},"price":7.5}]}`,
+		`{"quotes":[{"contract":{"right":"call","style":"european","spot":100,"strike":90,"sigma":0.3,"t":1},"price":0}],"n":4}`,
+		`{"quotes":[{"contract":{"right":"put"},"price":1}]}`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := ParseVolCurveRequest(body, limit)
+		if err != nil {
+			return
+		}
+		quotes, err := req.Resolve(steps)
+		if err != nil {
+			return
+		}
+		if len(quotes) < 1 || len(quotes) > limit {
+			t.Fatalf("accepted request resolved to %d quotes, want 1..%d", len(quotes), limit)
+		}
+		for i, q := range quotes {
+			if err := q.Option.Validate(); err != nil {
+				t.Fatalf("quote %d resolved to an invalid contract: %v", i, err)
+			}
+			if !(q.Price > 0) {
+				t.Fatalf("quote %d resolved to price %v", i, q.Price)
+			}
+		}
+	})
+}
+
 // FuzzParseServerTiming feeds arbitrary headers to the one Server-Timing
 // parser the router and loadgen share. It must never panic, and a header
 // it accepts must render to a fixed point: formatting the breakdown,

@@ -105,6 +105,7 @@ type metrics struct {
 	cacheHits      atomic.Int64
 	batchPriced    atomic.Int64 // options priced through the quad-interleaved batch path
 	solverPricings atomic.Int64 // lattice evaluations spent inside implied-vol solves
+	solverJoules   atomicFloat  // modelled energy of those evaluations
 	priceErrors    atomic.Int64 // failed pricing attempts across all shards
 	retries        atomic.Int64 // failover re-dispatches after failed attempts
 
@@ -122,8 +123,9 @@ type metrics struct {
 	latency   *omhist.Histogram // per-option enqueue-to-result latency, seconds
 	batchSize *omhist.Histogram // options per flushed batch
 	// requestJoules is the per-request energy ledger: one observation
-	// per /v1/price or /v1/scenarios request of its summed modelled
-	// joules, exemplared with the request's trace ID.
+	// per served /v1/price, /v1/scenarios or /v1/volcurve request of
+	// its summed modelled joules, exemplared with the request's trace
+	// ID.
 	requestJoules *omhist.Histogram
 	// scenarioLatency is the end-to-end latency of non-cached
 	// /v1/scenarios revaluations, seconds.
@@ -287,6 +289,7 @@ func (m *metrics) render(queueDepth int64, cacheLen int, cacheGen uint64) string
 	w("binopt_cache_invalidations_total %d\n", m.invalidations.Load())
 	w("binopt_cache_invalidated_entries_total %d\n", m.invalidatedEntries.Load())
 	w("binopt_solver_pricings_total %d\n", m.solverPricings.Load())
+	w("binopt_solver_modelled_joules_total %.6g\n", m.solverJoules.load())
 	w("binopt_price_errors_total %d\n", m.priceErrors.Load())
 	w("binopt_retries_total %d\n", m.retries.Load())
 	w("binopt_queue_depth %d\n", queueDepth)

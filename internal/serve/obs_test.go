@@ -35,56 +35,71 @@ func obsContracts(n int) []Contract {
 
 // TestTraceparentAdoptedFromRemote: a forwarded request's traceparent
 // parents every node-side span under the remote trace ID, and the
-// response echoes the trace.
+// response echoes the trace — on every endpoint behind the node edge.
 func TestTraceparentAdoptedFromRemote(t *testing.T) {
-	_, hs := newTestServer(t, Config{Steps: 32, Tracer: telemetry.New(512), CacheSize: -1})
-
 	const remoteTrace = "4bf92f3577b34da6a3ce929d0e0e4736"
-	body, _ := json.Marshal(PriceRequest{Contracts: obsContracts(2)})
-	req, _ := http.NewRequest(http.MethodPost, hs.URL+"/v1/price", bytes.NewReader(body))
-	req.Header.Set("traceparent", "00-"+remoteTrace+"-00f067aa0ba902b7-01")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	echoed := resp.Header.Get("traceparent")
-	if tr, _, ok := telemetry.ParseTraceParent(echoed); !ok || tr != remoteTrace {
-		t.Errorf("response traceparent = %q, want trace %s", echoed, remoteTrace)
-	}
+	for _, tc := range []struct {
+		name, path string
+		body       any
+		// spans are the span names the request must export. For
+		// /v1/price: handler, batch/queue/readback, and the worker's
+		// device timeline.
+		spans []string
+	}{
+		{"price", "/v1/price", PriceRequest{Contracts: obsContracts(2)},
+			[]string{"POST /v1/price", "batch", "queue", "compute", "readback"}},
+		{"volcurve", "/v1/volcurve", VolCurveRequest{N: 4, Seed: 1},
+			[]string{"POST /v1/volcurve"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, hs := newTestServer(t, Config{Steps: 32, Tracer: telemetry.New(512), CacheSize: -1})
 
-	// Every span of the request — handler, batch/queue/readback, and
-	// the worker's device timeline — carries the remote trace ID.
-	sresp, err := http.Get(hs.URL + "/debug/spans")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	var ex telemetry.Export
-	if err := json.NewDecoder(sresp.Body).Decode(&ex); err != nil {
-		t.Fatal(err)
-	}
-	if len(ex.Spans) == 0 {
-		t.Fatal("no spans exported")
-	}
-	names := map[string]bool{}
-	for _, sp := range ex.Spans {
-		if sp.Trace != remoteTrace {
-			t.Errorf("span %q trace = %q, want %s", sp.Name, sp.Trace, remoteTrace)
-		}
-		names[sp.Name] = true
-	}
-	for _, want := range []string{"POST /v1/price", "batch", "queue", "compute", "readback"} {
-		if !names[want] {
-			t.Errorf("no %q span exported (have %v)", want, names)
-		}
-	}
-	if ex.NowUnixNano == 0 {
-		t.Error("export has no clock reading")
+			body, _ := json.Marshal(tc.body)
+			req, _ := http.NewRequest(http.MethodPost, hs.URL+tc.path, bytes.NewReader(body))
+			req.Header.Set("traceparent", "00-"+remoteTrace+"-00f067aa0ba902b7-01")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d", resp.StatusCode)
+			}
+			echoed := resp.Header.Get("traceparent")
+			if tr, _, ok := telemetry.ParseTraceParent(echoed); !ok || tr != remoteTrace {
+				t.Errorf("response traceparent = %q, want trace %s", echoed, remoteTrace)
+			}
+
+			// Every span of the request carries the remote trace ID.
+			sresp, err := http.Get(hs.URL + "/debug/spans")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sresp.Body.Close()
+			var ex telemetry.Export
+			if err := json.NewDecoder(sresp.Body).Decode(&ex); err != nil {
+				t.Fatal(err)
+			}
+			if len(ex.Spans) == 0 {
+				t.Fatal("no spans exported")
+			}
+			names := map[string]bool{}
+			for _, sp := range ex.Spans {
+				if sp.Trace != remoteTrace {
+					t.Errorf("span %q trace = %q, want %s", sp.Name, sp.Trace, remoteTrace)
+				}
+				names[sp.Name] = true
+			}
+			for _, want := range tc.spans {
+				if !names[want] {
+					t.Errorf("no %q span exported (have %v)", want, names)
+				}
+			}
+			if ex.NowUnixNano == 0 {
+				t.Error("export has no clock reading")
+			}
+		})
 	}
 }
 

@@ -4,16 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"math"
 	"net/http"
-	"strconv"
 	"time"
 
+	"binopt/internal/accel"
 	"binopt/internal/lattice"
-	"binopt/internal/obslog"
 	"binopt/internal/scenario"
 	"binopt/internal/telemetry"
 )
@@ -203,43 +201,18 @@ func scenarioCacheCapFor(cacheSize int) int {
 	return scenarioCacheCap
 }
 
-// revalue runs one revaluation on an engine shard chosen by place, the
-// policy contract batches follow, and returns the report with the shard
-// that priced it. The revaluation holds a reserve slot on its shard
-// while it runs, so contract dispatch and Retry-After see the load, and
-// kicks the batcher once it releases the slot, as a batch worker does;
-// when no shard has a slot left it returns ErrSaturated. A failed
-// attempt is booked the way failJob books one — breaker, shard and node
-// error counters, retry counter — and the revaluation moves to the next
-// shard after retryBackoff, within MaxAttempts.
+// revalue runs one revaluation through the shard runner, so it is
+// placed, admitted, failed over and booked like every other pricing,
+// and returns the report with the shard that priced it. The work is
+// the whole cross product: every shocked book plus the base book.
 func (s *Server) revalue(req scenario.Request, log *slog.Logger) (scenario.Report, *backend, error) {
+	var rep scenario.Report
 	n := int64(len(req.Shocks)+1) * int64(len(req.Book))
-	var failed *backend
-	for attempt := 1; ; attempt++ {
-		be, _ := s.place(failed, func(be *backend, idleOnly bool) bool { return be.reserve(n, idleOnly) })
-		if be == nil {
-			return scenario.Report{}, nil, ErrSaturated
-		}
-		rep, err := scenario.New(be.cfg.Engine, 0).Revalue(req)
-		be.release(n)
-		s.kick()
-		if err == nil {
-			be.breaker.onSuccess()
-			return rep, be, nil
-		}
-		be.breaker.onFailure()
-		be.errs.Add(1)
-		s.metrics.priceErrors.Add(1)
-		if attempt >= s.cfg.MaxAttempts {
-			return scenario.Report{}, be, fmt.Errorf("%d attempt(s) failed, last on %s: %w", attempt, be.cfg.Name, err)
-		}
-		s.metrics.retries.Add(1)
-		backoff := retryBackoff(s.cfg.RetryBackoff, attempt)
-		log.Warn("scenario attempt failed, retrying on another shard",
-			"backend", be.cfg.Name, "attempt", attempt, "backoff", backoff.String(), "error", err.Error())
-		time.Sleep(backoff)
-		failed = be
-	}
+	be, err := s.onShard(n, log, func(eng *accel.Engine) (err error) {
+		rep, err = scenario.New(eng, 0).Revalue(req)
+		return err
+	})
+	return rep, be, err
 }
 
 // scenarioServerTiming renders the revaluation's phase breakdown in the
@@ -252,76 +225,47 @@ func scenarioServerTiming(expand, price, aggregate time.Duration, evals int64, j
 }
 
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.closed.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, "%v", ErrClosed)
-		return
-	}
-	s.metrics.scenarioReqs.Add(1)
-	started := time.Now()
-
-	trace, parent, fromRemote := telemetry.ParseTraceParent(r.Header.Get("traceparent"))
-	if !fromRemote && s.tracer.Enabled() {
-		trace = telemetry.NewTraceID()
-	}
-	span := s.tracer.Begin("POST /v1/scenarios", "host", "requests")
-	span.SetReq(span.ID())
-	span.SetTrace(trace)
-	if fromRemote {
-		span.SetAttr("parent_span", fmt.Sprintf("%016x", parent))
-	}
-	defer span.End()
-	log := obslog.WithTrace(s.logger, trace, span.ID())
-
-	// Same SLO discipline as /v1/price: every terminal outcome booked
-	// exactly once, client mistakes and backpressure spending no budget.
 	// Batch-class SLO observation: a stress grid counts toward
 	// availability but is exempt from the interactive latency budget.
-	observe := func(failed bool) { s.slomon.ObserveBatch(failed) }
-
-	body, status, err := ReadBody(w, r)
-	if err != nil {
-		s.writeError(w, status, "reading body: %v", err)
+	e, ok := s.begin(w, r, &s.metrics.scenarioReqs, true)
+	if !ok {
 		return
 	}
-	req, err := ParseScenarioRequest(body)
+	defer e.span.End()
+	req, err := ParseScenarioRequest(e.body)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		e.fail(http.StatusBadRequest, err)
 		return
 	}
 
 	// Expand phase: wire → engine terms, including grid expansion.
 	book, shocks, quantiles, err := req.Resolve()
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		e.fail(http.StatusBadRequest, err)
 		return
 	}
 	expandDone := time.Now()
-	span.SetAttr("positions", len(book))
-	span.SetAttr("scenarios", len(shocks))
+	e.span.SetAttr("positions", len(book))
+	e.span.SetAttr("scenarios", len(shocks))
 
 	emitPhase := func(name string, start time.Time, d time.Duration) {
 		if !s.tracer.Enabled() {
 			return
 		}
 		s.tracer.Emit(telemetry.Span{
-			Req: span.ID(), Trace: trace, Name: name, Proc: "host", Thread: "scenarios",
+			Req: e.span.ID(), Trace: e.trace, Name: name, Proc: "host", Thread: "scenarios",
 			Start: start, Dur: d, Clock: telemetry.Wall,
 			Attrs: map[string]any{"positions": len(book), "scenarios": len(shocks)},
 		})
 	}
-	emitPhase("expand", started, expandDone.Sub(started))
+	emitPhase("expand", e.started, expandDone.Sub(e.started))
 
 	key := scenarioKey(s.cfg.Steps, book, shocks, quantiles, req.SkipGreeks)
 	if rep, ok := s.scenarios.get(key); ok {
-		observe(false)
 		s.metrics.scenarioCacheHits.Add(1)
-		s.writeScenarioResponse(w, span, trace, rep, true, "cache", 0)
-		log.Debug("scenario request served from cache",
-			"positions", len(book), "scenarios", len(shocks), "latency", time.Since(started).Seconds())
+		e.reply(s.scenarioResponse(rep, true, "cache", 0))
+		e.log.Debug("scenario request served from cache",
+			"positions", len(book), "scenarios", len(shocks), "latency", time.Since(e.started).Seconds())
 		return
 	}
 
@@ -330,20 +274,11 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	// the shard the pool's placement policy picks.
 	rep, be, err := s.revalue(scenario.Request{
 		Book: book, Shocks: shocks, Quantiles: quantiles, SkipGreeks: req.SkipGreeks,
-	}, log)
+	}, e.log)
 	priceDone := time.Now()
 	emitPhase("price", expandDone, priceDone.Sub(expandDone))
-	if errors.Is(err, ErrSaturated) {
-		s.metrics.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.RetryAfter()/time.Second)))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "scenario capacity saturated"})
-		return
-	}
 	if err != nil {
-		observe(true)
-		log.Warn("scenario request failed",
-			"positions", len(book), "scenarios", len(shocks), "error", err.Error())
-		s.writeError(w, http.StatusInternalServerError, "%v", err)
+		e.fail(statusOf(err, http.StatusInternalServerError), err, "positions", len(book), "scenarios", len(shocks))
 		return
 	}
 	// Aggregate phase: energy ledger, metrics, cache fill, response.
@@ -351,25 +286,23 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	s.metrics.scenarioShocks.Add(int64(len(shocks)))
 	s.metrics.scenarioEvals.Add(rep.Evaluations)
 	s.metrics.scenarioJoules.add(joules)
-	s.metrics.requestJoules.ObserveExemplar(joules, trace)
+	s.metrics.requestJoules.ObserveExemplar(joules, e.trace)
 	s.scenarios.put(key, rep)
-	observe(false)
-	s.metrics.scenarioLatency.Observe(time.Since(started).Seconds())
+	s.metrics.scenarioLatency.Observe(time.Since(e.started).Seconds())
 	emitPhase("aggregate", priceDone, time.Since(priceDone))
-	span.SetAttr("evaluations", rep.Evaluations)
-	span.SetAttr("joules", joules)
+	e.span.SetAttr("evaluations", rep.Evaluations)
+	e.span.SetAttr("joules", joules)
 
 	w.Header().Set("Server-Timing", scenarioServerTiming(
-		expandDone.Sub(started), priceDone.Sub(expandDone), time.Since(priceDone), rep.Evaluations, joules))
-	s.writeScenarioResponse(w, span, trace, rep, false, be.cfg.Name, joules)
-	log.Debug("scenario request served",
+		expandDone.Sub(e.started), priceDone.Sub(expandDone), time.Since(priceDone), rep.Evaluations, joules))
+	e.reply(s.scenarioResponse(rep, false, be.cfg.Name, joules))
+	e.log.Debug("scenario request served",
 		"positions", len(book), "scenarios", len(shocks), "evaluations", rep.Evaluations,
-		"backend", be.cfg.Name, "joules", joules, "latency", time.Since(started).Seconds())
+		"backend", be.cfg.Name, "joules", joules, "latency", time.Since(e.started).Seconds())
 }
 
-// writeScenarioResponse renders one revaluation report to the client,
-// echoing the trace identity like the price path does.
-func (s *Server) writeScenarioResponse(w http.ResponseWriter, span *telemetry.Active, trace string, rep scenario.Report, cached bool, backendName string, joules float64) {
+// scenarioResponse renders one revaluation report in its wire form.
+func (s *Server) scenarioResponse(rep scenario.Report, cached bool, backendName string, joules float64) ScenarioResponse {
 	resp := ScenarioResponse{
 		Steps:          s.cfg.Steps,
 		BaseValue:      rep.BaseValue,
@@ -385,8 +318,5 @@ func (s *Server) writeScenarioResponse(w http.ResponseWriter, span *telemetry.Ac
 	if rep.HasGreeks {
 		resp.Greeks = greeksJSON(rep.Greeks)
 	}
-	if trace != "" && span.ID() != 0 {
-		w.Header().Set("traceparent", telemetry.FormatTraceParent(trace, span.ID()))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }

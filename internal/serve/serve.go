@@ -121,12 +121,12 @@ type Result struct {
 }
 
 // Server is the pricing service. Construct with New, serve via Handler,
-// stop with Close.
+// stop with Close. Every pricing it does runs on a shard's engine:
+// contract batches through the batcher and the shard workers,
+// revaluations and implied-vol rounds through the shard runner
+// (onShard) on the request goroutine.
 type Server struct {
 	cfg Config
-	// engine is the reference lattice: the parity probe compares every
-	// shard against it, and /v1/volcurve solves on it.
-	engine *lattice.Engine
 
 	cache     *lru[Key, float64]
 	scenarios *lru[string, scenario.Report]
@@ -153,11 +153,8 @@ type Server struct {
 // New builds and starts a Server (backend workers launch immediately).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	eng, err := lattice.NewEngine(cfg.Steps)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
 	if cfg.Backends == nil {
+		var err error
 		cfg.Backends, err = DefaultBackends(cfg.Steps)
 		if err != nil {
 			return nil, err
@@ -169,7 +166,6 @@ func New(cfg Config) (*Server, error) {
 
 	s := &Server{
 		cfg:     cfg,
-		engine:  eng,
 		metrics: newMetrics(),
 		cache:   newLRU[Key, float64](cfg.CacheSize),
 		// The scenario cache shares the contract cache's on/off switch:
@@ -213,15 +209,19 @@ func New(cfg Config) (*Server, error) {
 }
 
 // verifyEngineParity prices one canonical contract on every shard's
-// platform engine and requires the results to match the server's
-// reference lattice bit for bit — the serving-layer version of the
-// kernel validation in §V-B.
+// platform engine and requires the results to match a reference
+// lattice bit for bit — the serving-layer version of the kernel
+// validation in §V-B.
 func (s *Server) verifyEngineParity() error {
 	probe := option.Option{
 		Right: option.Put, Style: option.American,
 		Spot: 100, Strike: 105, Rate: 0.03, Sigma: 0.2, T: 0.5,
 	}
-	want, err := s.engine.Price(probe)
+	ref, err := lattice.NewEngine(s.cfg.Steps)
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	want, err := ref.Price(probe)
 	if err != nil {
 		return fmt.Errorf("serve: parity reference: %w", err)
 	}

@@ -295,7 +295,9 @@ func TestPinnedQuoteReturnsNoVolInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if price != o.Intrinsic() {
+	// The lattice lands within rounding of intrinsic (40.00000000000004
+	// against 40 at 64 steps), not on it.
+	if math.Abs(price-o.Intrinsic()) > DefaultTol {
 		t.Skipf("contract not pinned at intrinsic (%v vs %v)", price, o.Intrinsic())
 	}
 	if _, err := Brent(price, o, eng.Price); !errors.Is(err, ErrNoVolInfo) {
