@@ -17,9 +17,6 @@ type DeviceCommand struct {
 	Queued, Submit, Start, End float64
 }
 
-// Seconds is the command's modelled device execution time.
-func (c DeviceCommand) Seconds() float64 { return c.End - c.Start }
-
 // DeviceTrace is the modelled device timeline of one batch submission:
 // the interval the batch occupied on the device clock and its
 // per-command decomposition (transfer in, kernel, readback).

@@ -33,7 +33,7 @@ func TestBatchTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spo := eng.ModelledSecondsPerOption()
+	spo := eng.spo
 	if spo <= 0 {
 		t.Fatalf("seconds per option = %v", spo)
 	}
@@ -85,7 +85,7 @@ func TestBatchTimeline(t *testing.T) {
 				t.Errorf("command %q ends before it starts", cmd.Name)
 			}
 			at = cmd.End
-			sum += cmd.Seconds()
+			sum += cmd.End - cmd.Start
 		}
 		if len(names) != 3 || names[0] != "write params+leaves" || names[1] != "ndrange IV.B" || names[2] != "read result" {
 			t.Errorf("command sequence = %v", names)
@@ -97,9 +97,10 @@ func TestBatchTimeline(t *testing.T) {
 			t.Errorf("commands sum to %v, batch costs %v", sum, float64(n)*spo)
 		}
 		// The kernel dominates: transfers are overhead, not the bulk.
-		if k := dtr.Commands[1].Seconds(); k < dtr.Commands[0].Seconds() || k < dtr.Commands[2].Seconds() {
+		secs := func(c DeviceCommand) float64 { return c.End - c.Start }
+		if k := secs(dtr.Commands[1]); k < secs(dtr.Commands[0]) || k < secs(dtr.Commands[2]) {
 			t.Errorf("kernel (%v) should dominate transfers (%v, %v)",
-				k, dtr.Commands[0].Seconds(), dtr.Commands[2].Seconds())
+				k, secs(dtr.Commands[0]), secs(dtr.Commands[2]))
 		}
 		prevEnd = dtr.End + float64(n)*spo
 		priced += 2 * n

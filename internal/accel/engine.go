@@ -33,12 +33,11 @@ const maxProbeSteps = 256
 // construction), so the host path IS the device arithmetic — only the
 // clock is modelled, exactly as in the perf estimates.
 type Engine struct {
-	desc       Description
-	est        perf.Estimate
-	steps      int
-	probeSteps int
-	host       *lattice.Engine
-	jpo        float64 // modelled joules per option
+	desc  Description
+	est   perf.Estimate
+	steps int
+	host  *lattice.Engine
+	jpo   float64 // modelled joules per option
 
 	// perOption is the modelled substrate activity of pricing one option
 	// at serving depth, calibrated from the construction probe. perQuad
@@ -163,16 +162,15 @@ func newKernelEngine(desc Description, est perf.Estimate, steps int) (*Engine, e
 	}
 	perOpt := scaleProbeCounters(res.Counters, len(chain), probe, steps)
 	return &Engine{
-		desc:       desc,
-		est:        est,
-		steps:      steps,
-		probeSteps: probe,
-		host:       host,
-		jpo:        joulesPerOption(est),
-		perOption:  perOpt,
-		perQuad:    quadGroupCounters(perOpt),
-		spo:        secondsPerOption(est),
-		devPlan:    newDevCommandPlan(perOpt),
+		desc:      desc,
+		est:       est,
+		steps:     steps,
+		host:      host,
+		jpo:       joulesPerOption(est),
+		perOption: perOpt,
+		perQuad:   quadGroupCounters(perOpt),
+		spo:       secondsPerOption(est),
+		devPlan:   newDevCommandPlan(perOpt),
 	}, nil
 }
 
@@ -325,10 +323,6 @@ func (e *Engine) Estimate() perf.Estimate { return e.est }
 // Steps reports the serving tree depth.
 func (e *Engine) Steps() int { return e.steps }
 
-// ProbeSteps reports the depth of the construction-time kernel probe
-// (zero for host-substrate engines).
-func (e *Engine) ProbeSteps() int { return e.probeSteps }
-
 // Price prices one option and accounts its modelled substrate activity.
 // An armed fault hook is consulted first; its error fails the call with
 // no accounting, exactly as a device-side launch failure would.
@@ -451,10 +445,6 @@ func (e *Engine) PricedOptions() int64 {
 // ModelledJoulesPerOption is the platform's modelled energy per priced
 // option (power / throughput from the estimate).
 func (e *Engine) ModelledJoulesPerOption() float64 { return e.jpo }
-
-// ModelledSecondsPerOption is the modelled device time of one option
-// (1 / OptionsPerSec from the estimate).
-func (e *Engine) ModelledSecondsPerOption() float64 { return e.spo }
 
 // ModelledDeviceSeconds is the total modelled device-busy time of
 // everything priced: the device clock's current position.

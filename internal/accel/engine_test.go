@@ -72,9 +72,6 @@ func TestEngineAccounting(t *testing.T) {
 			if c.Barriers <= 0 || c.LocalReads <= 0 || c.HostBytes() <= 0 {
 				t.Errorf("%s: kernel engine missing substrate activity: %v", d.Name, c)
 			}
-			if eng.ProbeSteps() <= 0 {
-				t.Errorf("%s: no probe recorded", d.Name)
-			}
 		}
 		if eng.ModelledJoulesPerOption() <= 0 {
 			t.Errorf("%s: no modelled energy", d.Name)

@@ -47,13 +47,13 @@ func BenchmarkRouterOverhead(b *testing.B) {
 		return json.NewDecoder(resp.Body).Decode(&pr)
 	}
 	// Warm the node cache so both paths measure transport, not lattice.
-	if err := post(f.URL(0)); err != nil {
+	if err := post(f.nodes[0].url); err != nil {
 		b.Fatalf("warm: %v", err)
 	}
 
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := post(f.URL(0)); err != nil {
+			if err := post(f.nodes[0].url); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -103,13 +103,6 @@ func (f *LocalFleet) Nodes() []Node {
 	return out
 }
 
-// URL returns node i's base URL.
-func (f *LocalFleet) URL(i int) string { return f.nodes[i].url }
-
-// Server returns node i's serve.Server (tests reach into cache
-// generations and metrics through it).
-func (f *LocalFleet) Server(i int) *serve.Server { return f.nodes[i].server }
-
 // Kill abruptly terminates node i's HTTP service: the listener closes
 // and every open connection is torn down mid-flight, the closest a
 // test gets to pulling a board's power. The serve.Server underneath is

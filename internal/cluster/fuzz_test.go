@@ -30,7 +30,7 @@ func nodeMetricsPage(tb testing.TB) []byte {
 		{Right: option.Call, Style: option.European, Spot: 100, Strike: 95, Rate: 0.03, Sigma: 0.25, T: 1},
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := s.PriceOptions(context.Background(), opts); err != nil {
+		if _, _, err := s.PriceOptionsTimed(context.Background(), opts); err != nil {
 			tb.Fatal(err)
 		}
 	}

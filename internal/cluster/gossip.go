@@ -39,9 +39,6 @@ type Gossiper struct {
 	// next rotates the fanout window across the peer list so repeated
 	// bumps do not always favour the same peers.
 	next atomic.Uint64
-
-	// spread counts pushes issued (tests and /metrics observability).
-	spread atomic.Int64
 }
 
 func (g *Gossiper) client() *http.Client {
@@ -57,9 +54,6 @@ func (g *Gossiper) timeout() time.Duration {
 	}
 	return 2 * time.Second
 }
-
-// Spreads reports how many peer pushes this gossiper has issued.
-func (g *Gossiper) Spreads() int64 { return g.spread.Load() }
 
 // Spread offers generation gen to up to Fanout peers, concurrently,
 // and waits for the pushes to finish or time out. Peers that already
@@ -82,7 +76,6 @@ func (g *Gossiper) Spread(ctx context.Context, gen uint64) {
 		wg.Add(1)
 		go func(peer string) {
 			defer wg.Done()
-			g.spread.Add(1)
 			cctx, cancel := context.WithTimeout(ctx, g.timeout())
 			defer cancel()
 			req, err := http.NewRequestWithContext(cctx, http.MethodPost, peer+"/v1/invalidate", bytes.NewReader(body))

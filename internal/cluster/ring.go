@@ -97,24 +97,6 @@ func (r *Ring) Add(node string) {
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
 
-// Remove deletes a member's virtual nodes. Removing an absent member is
-// a no-op.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Nodes returns the members in sorted order.
 func (r *Ring) Nodes() []string {
 	r.mu.RLock()
@@ -132,16 +114,6 @@ func (r *Ring) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.nodes)
-}
-
-// Owner returns the member owning key, or "" on an empty ring.
-func (r *Ring) Owner(key string) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return ""
-	}
-	return r.points[r.search(key)].node
 }
 
 // search finds the index of the first point clockwise from key's hash.

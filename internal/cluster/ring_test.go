@@ -53,7 +53,7 @@ func TestRingBalance(t *testing.T) {
 }
 
 // TestRingMinimalMovement holds consistent hashing's defining property:
-// a node joining (or leaving) an N-node ring remaps only about 1/N of
+// a node joining an N-node ring remaps only about 1/N of
 // the keys — everyone else's cache stays warm through the membership
 // change. We allow up to 2x the theoretical expectation for hash noise.
 func TestRingMinimalMovement(t *testing.T) {
@@ -93,18 +93,6 @@ func TestRingMinimalMovement(t *testing.T) {
 	for k := range three {
 		if three[k] != four[k] && four[k] != "node-3" {
 			t.Fatalf("key %q moved %s -> %s, not to the joiner", k, three[k], four[k])
-		}
-	}
-
-	// Leave via Remove: back to the identical 3-node placement.
-	r := NewRing(1, 0)
-	for _, n := range []string{"node-0", "node-1", "node-2", "node-3"} {
-		r.Add(n)
-	}
-	r.Remove("node-3")
-	for _, k := range keys {
-		if got := r.Owner(k); got != three[k] {
-			t.Fatalf("after leave, key %q owned by %s, want %s", k, got, three[k])
 		}
 	}
 }
@@ -181,10 +169,5 @@ func TestRingEdgeCases(t *testing.T) {
 	}
 	if s := r.Successors("anything", 5); len(s) != 1 || s[0] != "only" {
 		t.Errorf("single-node successors = %v", s)
-	}
-	r.Remove("ghost") // absent remove is a no-op
-	r.Remove("only")
-	if r.Len() != 0 || r.Owner("x") != "" {
-		t.Error("ring not empty after removing the only node")
 	}
 }

@@ -1050,17 +1050,3 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(out)
 }
-
-// Steps reports the lattice depth the fleet prices at.
-func (rt *Router) Steps() int { return rt.cfg.Steps }
-
-// NodesUp reports how many members passed their last heartbeat.
-func (rt *Router) NodesUp() int {
-	n := 0
-	for _, m := range rt.members {
-		if m.up.Load() {
-			n++
-		}
-	}
-	return n
-}

@@ -34,18 +34,6 @@ func (m Model) OptionsPerSec(steps int, single bool) (float64, error) {
 	return perSec, nil
 }
 
-// Seconds returns the wall time to price n options sequentially.
-func (m Model) Seconds(n int64, steps int, single bool) (float64, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("cpumodel: negative option count %d", n)
-	}
-	ps, err := m.OptionsPerSec(steps, single)
-	if err != nil {
-		return 0, err
-	}
-	return float64(n) / ps, nil
-}
-
 // PowerWatts returns the dissipation attributed to the run. The paper
 // uses the processor TDP for the energy-per-option comparison.
 func (m Model) PowerWatts() float64 { return m.Spec.TDPWatts }

@@ -165,36 +165,6 @@ func (in *Injector) Seed() int64 { return in.seed }
 // String returns the spec the injector was compiled from.
 func (in *Injector) String() string { return in.spec }
 
-// Canonical re-emits the compiled rules as a normalized spec: clauses
-// sorted by backend, profiles in err, lat, stuck, stall order, inactive
-// components omitted, durations and rates in Go's shortest round-trip
-// forms. Parsing a canonical spec yields the same canonical spec, so
-// two specs compile to the same fault schedule iff their canonical
-// forms match; chaos reports log this form.
-func (in *Injector) Canonical() string {
-	var clauses []string
-	for _, backend := range in.Backends() {
-		r := in.rules[backend]
-		var ps []string
-		if r.errRate > 0 {
-			ps = append(ps, "err="+formatRate(r.errRate))
-		}
-		if r.latRate > 0 {
-			ps = append(ps, "lat="+r.latency.String()+"@"+formatRate(r.latRate))
-		}
-		if r.stuckAfter >= 0 {
-			ps = append(ps, "stuck="+strconv.FormatInt(r.stuckAfter, 10))
-			ps = append(ps, "stall="+r.stall.String())
-		}
-		clauses = append(clauses, backend+":"+strings.Join(ps, ","))
-	}
-	return strings.Join(clauses, ";")
-}
-
-func formatRate(r float64) string {
-	return strconv.FormatFloat(r, 'g', -1, 64)
-}
-
 // Backends lists the scoped backend names, sorted ('*' included as-is).
 func (in *Injector) Backends() []string {
 	out := make([]string, 0, len(in.rules))
@@ -250,15 +220,4 @@ func (in *Injector) decide(backend string, r *rule) error {
 		return fmt.Errorf("faults: %s: %w", backend, ErrInjected)
 	}
 	return nil
-}
-
-// Calls reports how many times a backend's hook has fired, for chaos
-// reports and tests.
-func (in *Injector) Calls(backend string) int64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.calls[backend]
 }

@@ -8,6 +8,13 @@ import (
 	"binopt/internal/volatility"
 )
 
+// FellerSatisfied reports whether 2*kappa*theta >= xi^2, the condition
+// under which the variance process stays strictly positive; the tests
+// hold their parameter sets to it, or deliberately outside it.
+func (p Params) FellerSatisfied() bool {
+	return 2*p.Kappa*p.Theta >= p.Xi*p.Xi
+}
+
 // SmilePoint is one strike's Black-Scholes-implied volatility under the
 // Heston model.
 type SmilePoint struct {
@@ -19,7 +26,7 @@ type SmilePoint struct {
 // volatilities at the given strikes — the model-generated smile. With
 // negative spot/variance correlation the curve skews downward, the
 // stylised equity fact stochastic-volatility models exist to capture;
-// the test suite asserts exactly that shape.
+// the smile tests assert exactly that shape of EuropeanCall.
 func ImpliedSmile(p Params, strikes []float64, t float64) ([]SmilePoint, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -52,12 +52,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// FellerSatisfied reports whether 2*kappa*theta >= xi^2, the condition
-// under which the variance process stays strictly positive.
-func (p Params) FellerSatisfied() bool {
-	return 2*p.Kappa*p.Theta >= p.Xi*p.Xi
-}
-
 // EuropeanCall returns the semi-analytic Heston price of a European call
 // with strike k and expiry t, using the "little Heston trap"
 // formulation of the characteristic function (numerically stable for
@@ -76,19 +70,6 @@ func EuropeanCall(p Params, k, t float64) (float64, error) {
 		call = 0
 	}
 	return call, nil
-}
-
-// EuropeanPut returns the Heston put via put-call parity.
-func EuropeanPut(p Params, k, t float64) (float64, error) {
-	call, err := EuropeanCall(p, k, t)
-	if err != nil {
-		return 0, err
-	}
-	put := call - p.Spot*math.Exp(-p.Div*t) + k*math.Exp(-p.Rate*t)
-	if put < 0 {
-		put = 0
-	}
-	return put, nil
 }
 
 // probability evaluates P_j = 1/2 + (1/pi) Int_0^inf Re(e^{-iu lnK}

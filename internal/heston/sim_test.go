@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// vanillaMC is the European call on the barrier simulator: a down
+// barrier at the smallest positive float sits below every path's log
+// spot, so no path knocks out and the shared full-truncation Euler
+// scheme is checked against the semi-analytic price on its own.
+func vanillaMC(p Params, k, t float64, cfg SimConfig) (Estimate, error) {
+	return DownAndOutCallMC(p, k, math.SmallestNonzeroFloat64, t, cfg)
+}
+
 func TestEulerConvergesToClosedForm(t *testing.T) {
 	p := testParams()
 	const k, T = 100.0, 0.5
@@ -12,7 +20,7 @@ func TestEulerConvergesToClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EuropeanCallMC(p, k, T, SimConfig{Paths: 120000, Steps: 64, Seed: 9})
+	est, err := vanillaMC(p, k, T, SimConfig{Paths: 120000, Steps: 64, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +37,11 @@ func TestEulerBiasShrinksWithSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := EuropeanCallMC(p, k, T, SimConfig{Paths: 200000, Steps: 2, Seed: 4})
+	coarse, err := vanillaMC(p, k, T, SimConfig{Paths: 200000, Steps: 2, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := EuropeanCallMC(p, k, T, SimConfig{Paths: 200000, Steps: 64, Seed: 4})
+	fine, err := vanillaMC(p, k, T, SimConfig{Paths: 200000, Steps: 64, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +56,7 @@ func TestBarrierBelowEverythingEqualsVanilla(t *testing.T) {
 	p := testParams()
 	const k, T = 100.0, 0.5
 	seed := uint64(11)
-	vanilla, err := EuropeanCallMC(p, k, T, SimConfig{Paths: 50000, Steps: 32, Seed: seed})
+	vanilla, err := vanillaMC(p, k, T, SimConfig{Paths: 50000, Steps: 32, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +107,10 @@ func TestBarrierNearSpotNearlyWorthless(t *testing.T) {
 
 func TestSimValidation(t *testing.T) {
 	p := testParams()
-	if _, err := EuropeanCallMC(p, 100, 0.5, SimConfig{Paths: 1, Steps: 8}); err == nil {
+	if _, err := vanillaMC(p, 100, 0.5, SimConfig{Paths: 1, Steps: 8}); err == nil {
 		t.Error("1 path should fail")
 	}
-	if _, err := EuropeanCallMC(p, 100, 0.5, SimConfig{Paths: 100, Steps: 0}); err == nil {
+	if _, err := vanillaMC(p, 100, 0.5, SimConfig{Paths: 100, Steps: 0}); err == nil {
 		t.Error("0 steps should fail")
 	}
 	if _, err := DownAndOutCallMC(p, 100, 120, 0.5, SimConfig{Paths: 100, Steps: 8}); err == nil {
@@ -117,7 +125,7 @@ func TestVarianceProcessStaysReasonable(t *testing.T) {
 	// Full truncation must not blow up even when Feller is violated.
 	p := testParams()
 	p.Xi = 1.2 // violates Feller
-	est, err := EuropeanCallMC(p, 100, 1, SimConfig{Paths: 20000, Steps: 64, Seed: 5})
+	est, err := vanillaMC(p, 100, 1, SimConfig{Paths: 20000, Steps: 64, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,30 +111,3 @@ func TestPowCoreString(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
-
-func TestExpCores(t *testing.T) {
-	for _, x := range []float64{-5, -0.001, 0, 0.001, 1, 5} {
-		want := math.Exp(x)
-		if got := Exp64.Exp(x); math.Abs(got-want) > 1e-13*want {
-			t.Errorf("Exp64(%v) = %v, want %v", x, got, want)
-		}
-		if got := Exp32.Exp(x); math.Abs(got-want) > 1e-6*want {
-			t.Errorf("Exp32(%v) = %v too far from %v", x, got, want)
-		}
-		if got := Exp32.Exp(x); got != float64(float32(got)) {
-			t.Errorf("Exp32 result %v is not a float32 value", got)
-		}
-	}
-	if got := Exp64.Exp(math.Inf(1)); !math.IsInf(got, 1) {
-		t.Errorf("Exp64(+Inf) = %v", got)
-	}
-	if got := Exp64.Exp(math.NaN()); !math.IsNaN(got) {
-		t.Errorf("Exp64(NaN) = %v", got)
-	}
-}
-
-func TestSqrtCore(t *testing.T) {
-	if got := Sqrt64.Sqrt(9); got != 3 {
-		t.Errorf("Sqrt(9) = %v", got)
-	}
-}

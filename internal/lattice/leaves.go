@@ -42,19 +42,12 @@ func hostLeafFill(dst []float64, stride, off int, spot float64, lp option.Lattic
 	}
 }
 
-// DeviceLeafPrices returns the leaf asset prices computed the way kernel
-// IV.B initialises them on the device: one Power-operator evaluation per
-// leaf, S(N,k) = S0 * u^(2k-N) (the CRR telescoped form; d = 1/u). The
-// pow core carries the accuracy of the emulated hardware operator.
-func DeviceLeafPrices(spot float64, lp option.LatticeParams, pow hwmath.PowCore, single bool) []float64 {
-	s := make([]float64, lp.Steps+1)
-	deviceLeafFill(s, 1, 0, spot, lp, pow, single)
-	return s
-}
-
-// deviceLeafFill is the strided form of DeviceLeafPrices, for the quad
-// plan's interleaved buffers. Same per-leaf Power evaluation, same
-// rounding placement.
+// deviceLeafFill writes the leaf asset prices the way kernel IV.B
+// initialises them on the device, into dst at the given stride and
+// offset for the quad plan's interleaved buffers: one Power-operator
+// evaluation per leaf, S(N,k) = S0 * u^(2k-N) (the CRR telescoped form;
+// d = 1/u). The pow core carries the accuracy of the emulated hardware
+// operator.
 //
 //binopt:kernel device-side leaf initialisation (kernel IV.B's per-work-item stage)
 func deviceLeafFill(dst []float64, stride, off int, spot float64, lp option.LatticeParams, pow hwmath.PowCore, single bool) {

@@ -25,9 +25,6 @@ func NewTrinomialEngine(steps int) (*TrinomialEngine, error) {
 	return &TrinomialEngine{steps: steps}, nil
 }
 
-// Steps returns the configured depth.
-func (e *TrinomialEngine) Steps() int { return e.steps }
-
 // Price values the option by trinomial backward induction.
 func (e *TrinomialEngine) Price(o option.Option) (float64, error) {
 	if err := o.Validate(); err != nil {

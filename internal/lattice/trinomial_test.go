@@ -126,7 +126,4 @@ func TestTrinomialValidation(t *testing.T) {
 	if _, err := one.Price(drifty); err == nil {
 		t.Error("degenerate probabilities should fail")
 	}
-	if e.Steps() != 8 {
-		t.Error("Steps accessor broken")
-	}
 }

@@ -1,13 +1,18 @@
 // Package lint is a minimal static-analysis framework with the same
 // shape as golang.org/x/tools/go/analysis — Analyzer values with a Run
 // hook over a type-checked Pass — rebuilt on the standard library alone
-// so the reproduction stays dependency-free. The five binoptvet
-// analyzers (kerneldet, barrieruse, unitcheck, floateq, locksafe) turn
-// the repo's load-bearing runtime invariants into compile-time checks:
-// bit-identical prices across platforms (§IV parity), barrier-protected
-// local memory in the work-group kernel (§IV-A "to avoid any memory
-// conflict"), and dimensionally consistent joules/seconds/hertz
-// arithmetic in the Table-I power model.
+// so the reproduction stays dependency-free. The nine binoptvet
+// analyzers turn the repo's load-bearing runtime invariants into
+// compile-time checks. Five guard the numeric core (kerneldet,
+// barrieruse, unitcheck, floateq, locksafe): bit-identical prices
+// across platforms (§IV parity), barrier-protected local memory in the
+// work-group kernel (§IV-A "to avoid any memory conflict"), and
+// dimensionally consistent joules/seconds/hertz arithmetic in the
+// Table-I power model. Four guard the serving fabric's concurrency and
+// lifecycle (ctxflow, spawncheck, atomicmix, errdrop). One more
+// module-wide check, TestNoTestOnlyExports in the suite package, loads
+// the root and bench modules through Load and fails on any exported
+// internal/ function that only tests call.
 //
 // A finding is suppressed by a directive comment on the flagged line or
 // the line directly above it:

@@ -2,40 +2,6 @@ package mathx
 
 import "math"
 
-// ULP64 returns the distance in units-in-the-last-place between two
-// float64 values, saturating at math.MaxInt64. It treats values of
-// opposite sign as separated by their combined distance from zero, which
-// is the conventional monotone ULP metric.
-func ULP64(a, b float64) int64 {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return math.MaxInt64
-	}
-	ia := orderedBits64(a)
-	ib := orderedBits64(b)
-	d := ia - ib
-	if d < 0 {
-		d = -d
-	}
-	return d
-}
-
-// orderedBits64 maps a float64 onto a monotone int64 scale so that ULP
-// distance is a plain subtraction.
-func orderedBits64(f float64) int64 {
-	b := int64(math.Float64bits(f))
-	if b < 0 {
-		b = math.MinInt64 - b
-	}
-	return b
-}
-
-// RoundTo32 rounds a float64 to the nearest float32 and widens it back.
-// The float32 pricing pipelines use it to model single-precision
-// arithmetic at every operation.
-func RoundTo32(x float64) float64 {
-	return float64(float32(x))
-}
-
 // TruncateMantissa rounds x to a float64 with only `bits` explicit
 // mantissa bits (1 <= bits <= 52), emulating a reduced-precision hardware
 // datapath. The rounding is round-to-nearest-even on the retained bits.
@@ -62,18 +28,6 @@ func TruncateMantissa(x float64, bits uint) float64 {
 		u += 1 << drop // may carry into the exponent, which is correct rounding
 	}
 	return math.Float64frombits(u)
-}
-
-// Clamp returns x limited to the closed interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	switch {
-	case x < lo:
-		return lo
-	case x > hi:
-		return hi
-	default:
-		return x
-	}
 }
 
 // AlmostEqual reports whether a and b agree to within absolute tolerance

@@ -65,13 +65,3 @@ func RMSE(got, want []float64) float64 {
 	}
 	return st.RMSE
 }
-
-// OrderOfMagnitude returns the decimal exponent of |x| (e.g. -3 for
-// 2.4e-3), or math.MinInt for x == 0. The paper quotes RMSE figures as
-// orders of magnitude ("~10^-3"); this makes those comparisons explicit.
-func OrderOfMagnitude(x float64) int {
-	if x == 0 {
-		return math.MinInt
-	}
-	return int(math.Floor(math.Log10(math.Abs(x))))
-}

@@ -23,24 +23,3 @@ func (k *KahanSum) Add(v float64) {
 
 // Sum returns the compensated total.
 func (k *KahanSum) Sum() float64 { return k.sum + k.c }
-
-// Reset clears the accumulator to zero.
-func (k *KahanSum) Reset() { k.sum, k.c = 0, 0 }
-
-// SumSlice returns the compensated sum of xs.
-func SumSlice(xs []float64) float64 {
-	var k KahanSum
-	for _, x := range xs {
-		k.Add(x)
-	}
-	return k.Sum()
-}
-
-// Mean returns the compensated arithmetic mean of xs, or 0 for an empty
-// slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return SumSlice(xs) / float64(len(xs))
-}

@@ -113,8 +113,9 @@ func (h *Histogram) Mean() float64 {
 
 // Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
 // inside the containing bucket. It returns 0 when the histogram is
-// empty. Rendering no longer exposes quantiles — this survives for
-// health summaries and tests, where a local estimate is the point.
+// empty. It is the in-process twin of a scraper's histogram_quantile
+// over the rendered buckets, so tests can check a bucket layout resolves
+// the latencies it is meant to.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0

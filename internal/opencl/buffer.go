@@ -53,12 +53,6 @@ func (b *Buffer) Len() int { return len(b.data) }
 // Bytes returns the buffer size in bytes.
 func (b *Buffer) Bytes() int64 { return int64(len(b.data)) * b.elemBytes }
 
-// ElemBytes returns the element size used for traffic accounting.
-func (b *Buffer) ElemBytes() int64 { return b.elemBytes }
-
-// Name returns the diagnostic name given at creation.
-func (b *Buffer) Name() string { return b.name }
-
 // at reads an element with bounds checking; kernels reach it through
 // WorkItem.Load so the access is metered.
 func (b *Buffer) at(i int) float64 {

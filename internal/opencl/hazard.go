@@ -89,13 +89,6 @@ func (q *CommandQueue) EnableHazardCheck() {
 	q.mu.Unlock()
 }
 
-// DisableHazardCheck turns conflict detection back off.
-func (q *CommandQueue) DisableHazardCheck() {
-	q.mu.Lock()
-	q.hazards = false
-	q.mu.Unlock()
-}
-
 func (q *CommandQueue) hazardsEnabled() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()

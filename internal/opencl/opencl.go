@@ -117,14 +117,6 @@ func (d *Device) release(bytes int64) {
 	d.mu.Unlock()
 }
 
-// AllocatedBytes reports the global memory currently reserved on the
-// device.
-func (d *Device) AllocatedBytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.allocated
-}
-
 // Context owns buffers and queues for one device, the analogue of
 // clCreateContext.
 type Context struct {
@@ -138,6 +130,3 @@ func NewContext(d *Device) (*Context, error) {
 	}
 	return &Context{device: d}, nil
 }
-
-// Device returns the context's device.
-func (c *Context) Device() *Device { return c.device }

@@ -74,16 +74,16 @@ func TestBufferLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 100 || b.Bytes() != 800 || b.ElemBytes() != 8 || b.Name() != "x" {
+	if b.Len() != 100 || b.Bytes() != 800 || b.elemBytes != 8 || b.name != "x" {
 		t.Errorf("buffer metadata wrong: %+v", b)
 	}
-	if got := dev.AllocatedBytes(); got != 800 {
+	if got := dev.allocated; got != 800 {
 		t.Errorf("allocated = %d", got)
 	}
 	if err := b.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if got := dev.AllocatedBytes(); got != 0 {
+	if got := dev.allocated; got != 0 {
 		t.Errorf("allocated after release = %d", got)
 	}
 	if err := b.Release(); err == nil {

@@ -7,11 +7,6 @@ import (
 	"time"
 )
 
-// DefaultEventCapacity bounds the per-queue event ring. A long-running
-// server enqueues commands forever; the ring keeps the recent window
-// for inspection while Counters stay exact over the queue's whole life.
-const DefaultEventCapacity = 4096
-
 // Event records what one enqueued command did: the meters the
 // performance models consume plus the four profiling timestamps of
 // clGetEventProfilingInfo. This runtime executes commands synchronously
@@ -27,9 +22,6 @@ type Event struct {
 	Queued, Submit, Start, End time.Time
 }
 
-// Duration is the command's host execution time (start to end).
-func (e Event) Duration() time.Duration { return e.End.Sub(e.Start) }
-
 // CommandQueue executes commands against one device, in order (the paper
 // uses in-order queues; the host overlaps work by splitting commands
 // across queue batches, which internal/kernels reproduces at the host
@@ -39,18 +31,12 @@ type CommandQueue struct {
 
 	mu      sync.Mutex
 	total   Counters
-	events  []Event // bounded ring, evCap slots
-	evNext  int
-	evFull  bool
-	evDrop  int64
-	evCap   int
-	hook    func(Event)
 	hazards bool
 }
 
 // NewQueue creates a command queue on the context.
 func (c *Context) NewQueue() *CommandQueue {
-	return &CommandQueue{ctx: c, evCap: DefaultEventCapacity}
+	return &CommandQueue{ctx: c}
 }
 
 // Counters returns the accumulated meters of all commands executed so
@@ -61,83 +47,11 @@ func (q *CommandQueue) Counters() Counters {
 	return q.total
 }
 
-// Events returns the retained per-command events, oldest first. At most
-// the ring capacity of recent events is kept; DroppedEvents counts the
-// rest.
-func (q *CommandQueue) Events() []Event {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if !q.evFull {
-		out := make([]Event, q.evNext)
-		copy(out, q.events[:q.evNext])
-		return out
-	}
-	out := make([]Event, 0, q.evCap)
-	out = append(out, q.events[q.evNext:]...)
-	out = append(out, q.events[:q.evNext]...)
-	return out
-}
-
-// DroppedEvents reports how many events were evicted from the ring to
-// make room for newer ones.
-func (q *CommandQueue) DroppedEvents() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.evDrop
-}
-
-// SetEventCapacity resizes the event ring (minimum 1), discarding the
-// retained events.
-func (q *CommandQueue) SetEventCapacity(n int) {
-	if n < 1 {
-		n = 1
-	}
-	q.mu.Lock()
-	q.evCap = n
-	q.events = nil
-	q.evNext = 0
-	q.evFull = false
-	q.mu.Unlock()
-}
-
-// SetEventHook installs fn to be called with every recorded event,
-// after the command completes and outside the queue lock — the
-// profiling-callback analogue the telemetry layer subscribes to. Pass
-// nil to remove.
-func (q *CommandQueue) SetEventHook(fn func(Event)) {
-	q.mu.Lock()
-	q.hook = fn
-	q.mu.Unlock()
-}
-
-// ResetCounters clears the accumulated meters (the events are kept).
-func (q *CommandQueue) ResetCounters() {
-	q.mu.Lock()
-	q.total = Counters{}
-	q.mu.Unlock()
-}
-
 func (q *CommandQueue) record(cmd string, st Counters, queued, start time.Time) Event {
 	ev := Event{Command: cmd, Stats: st, Queued: queued, Submit: queued, Start: start, End: time.Now()}
 	q.mu.Lock()
 	q.total.Add(st)
-	if q.events == nil {
-		q.events = make([]Event, q.evCap)
-	}
-	if q.evFull {
-		q.evDrop++
-	}
-	q.events[q.evNext] = ev
-	q.evNext++
-	if q.evNext == q.evCap {
-		q.evNext = 0
-		q.evFull = true
-	}
-	hook := q.hook
 	q.mu.Unlock()
-	if hook != nil {
-		hook(ev)
-	}
 	return ev
 }
 

@@ -38,12 +38,6 @@ func (wi *WorkItem) LocalID() int { return wi.localID }
 // GroupID returns get_group_id(0).
 func (wi *WorkItem) GroupID() int { return wi.g.groupID }
 
-// GlobalSize returns get_global_size(0).
-func (wi *WorkItem) GlobalSize() int { return wi.g.glSize }
-
-// LocalSize returns get_local_size(0).
-func (wi *WorkItem) LocalSize() int { return wi.g.localSize }
-
 // arg fetches a bound argument with a diagnostic on mismatch.
 func (wi *WorkItem) arg(i int) any {
 	args := wi.g.kernel.args
@@ -60,15 +54,6 @@ func (wi *WorkItem) Buffer(i int) *Buffer {
 		panic(fmt.Errorf("opencl: kernel %q arg %d is %T, not *Buffer", wi.g.kernel.Name, i, wi.arg(i)))
 	}
 	return b
-}
-
-// Float returns argument i as a float64 scalar.
-func (wi *WorkItem) Float(i int) float64 {
-	f, ok := wi.arg(i).(float64)
-	if !ok {
-		panic(fmt.Errorf("opencl: kernel %q arg %d is %T, not float64", wi.g.kernel.Name, i, wi.arg(i)))
-	}
-	return f
 }
 
 // Int returns argument i as an int scalar.

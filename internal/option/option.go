@@ -108,10 +108,6 @@ func (o Option) Payoff(s float64) float64 {
 // Intrinsic returns the payoff at the current spot.
 func (o Option) Intrinsic() float64 { return o.Payoff(o.Spot) }
 
-// Moneyness returns Spot/Strike, the conventional measure of how far in or
-// out of the money the contract is.
-func (o Option) Moneyness() float64 { return o.Spot / o.Strike }
-
 // String renders the contract compactly, e.g.
 // "american put S=100 K=105 r=3.00% q=0.00% sigma=20.00% T=0.50y".
 func (o Option) String() string {

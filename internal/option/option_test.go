@@ -89,9 +89,6 @@ func TestIntrinsicAndMoneyness(t *testing.T) {
 	if got := o.Intrinsic(); got != 5 {
 		t.Errorf("intrinsic = %v, want 5", got)
 	}
-	if got := o.Moneyness(); !almostEqual(got, 100.0/105.0) {
-		t.Errorf("moneyness = %v", got)
-	}
 }
 
 func TestStringers(t *testing.T) {

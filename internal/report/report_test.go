@@ -96,8 +96,8 @@ func TestFormatTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := FormatTable1(board.Chip.Name, board.Chip.Registers, board.Chip.M9K,
-		board.Chip.DSP18, board.Chip.MemoryBits, fitA, fitB)
+	s := BuildTable1(board.Chip.Name, board.Chip.Registers, board.Chip.M9K,
+		board.Chip.DSP18, board.Chip.MemoryBits, fitA, fitB).String()
 	for _, want := range []string{"Logic utilization", "including M9K", "DSP (18-bit)",
 		"Clock Frequency", "Power consumption", "kernel-IV.A", "kernel-IV.B", "MHz"} {
 		if !strings.Contains(s, want) {
@@ -117,7 +117,7 @@ func TestFormatTable2(t *testing.T) {
 		RMSE:      1.2e-3,
 		RMSEKnown: true,
 	}}
-	s := FormatTable2(rows, PublishedBaselines())
+	s := BuildTable2(rows, PublishedBaselines()).String()
 	for _, want := range []string{"Kernel IV.B", "~1e-3", "options/J", "[9] Jin", "[10] Wynnyk", "N/A"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Table II missing %q:\n%s", want, s)

@@ -7,11 +7,6 @@ import (
 	"binopt/internal/perf"
 )
 
-// FormatTable1 renders fit reports in the layout of the paper's Table I.
-func FormatTable1(chipName string, totalRegs int, totalM9K int, totalDSP int, totalBits int64, reports ...hls.FitReport) string {
-	return BuildTable1(chipName, totalRegs, totalM9K, totalDSP, totalBits, reports...).String()
-}
-
 // BuildTable1 assembles the Table I structure for text or CSV rendering.
 func BuildTable1(chipName string, totalRegs int, totalM9K int, totalDSP int, totalBits int64, reports ...hls.FitReport) *Table {
 	t := NewTable(append([]string{chipName}, names(reports)...)...)
@@ -61,12 +56,6 @@ type Table2Row struct {
 	// published baselines).
 	RMSEKnown bool
 	RMSEText  string // rendered note; filled from RMSE when known
-}
-
-// FormatTable2 renders measured rows plus the published baselines in the
-// layout of the paper's Table II.
-func FormatTable2(rows []Table2Row, baselines []Baseline) string {
-	return BuildTable2(rows, baselines).String()
 }
 
 // BuildTable2 assembles the Table II structure for text or CSV rendering.

@@ -92,16 +92,6 @@ func New(p Pricer, workers int) *Engine {
 	return &Engine{pricer: p, workers: workers, chunk: defaultChunk}
 }
 
-// WithChunk overrides the per-submission contract budget (testing and
-// tuning hook).
-func (e *Engine) WithChunk(contracts int) *Engine {
-	c := *e
-	if contracts > 0 {
-		c.chunk = contracts
-	}
-	return &c
-}
-
 // Revalue expands book × shocks, prices every shocked contract through
 // the batch path, and aggregates the report. An empty book is a valid
 // request and values to the zero report — every scenario prices to

@@ -29,9 +29,6 @@ type Shock struct {
 	RateAdd float64 `json:"rate_add"`
 }
 
-// Identity is the unshocked market state.
-func Identity() Shock { return Shock{Label: "base", SpotMul: 1, VolMul: 1} }
-
 // Apply returns the contract revalued under this shock. The three
 // float64 operations are fixed (multiply, multiply, add), so a shocked
 // contract — and therefore its lattice price — is a deterministic

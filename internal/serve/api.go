@@ -109,14 +109,11 @@ type QuoteJSON struct {
 	Price    float64  `json:"price"`
 }
 
-// VolCurveRequest is the body of POST /v1/volcurve. Either supply quotes
-// explicitly, or set N (and optionally Seed) to run the paper's use case:
-// the server generates an N-put DefaultVolCurveSpec chain, quotes it on
-// a reference lattice, and recovers the smile on its shards.
+// VolCurveRequest is the body of POST /v1/volcurve: the observed quotes
+// whose implied volatilities the server recovers on its shards. Market
+// data comes from the client; the node generates none.
 type VolCurveRequest struct {
-	Quotes []QuoteJSON `json:"quotes,omitempty"`
-	N      int         `json:"n,omitempty"`
-	Seed   int64       `json:"seed,omitempty"`
+	Quotes []QuoteJSON `json:"quotes"`
 }
 
 // VolCurvePoint is one recovered point of the smile.
@@ -161,9 +158,8 @@ func ParsePriceRequest(body []byte) (PriceRequest, error) {
 	return req, nil
 }
 
-// ParseVolCurveRequest decodes a POST /v1/volcurve body: explicit
-// quotes, or N > 0 for a generated chain (quotes win when both are
-// set). A curve of more than limit quotes is refused with
+// ParseVolCurveRequest decodes a POST /v1/volcurve body. A curve of no
+// quotes is refused, and one of more than limit quotes is refused with
 // ErrBatchTooLarge before anything is priced, as /v1/price refuses a
 // batch larger than the queue depth.
 func ParseVolCurveRequest(body []byte, limit int) (VolCurveRequest, error) {
@@ -171,47 +167,28 @@ func ParseVolCurveRequest(body []byte, limit int) (VolCurveRequest, error) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		return req, fmt.Errorf("bad JSON: %v", err)
 	}
-	n := len(req.Quotes)
-	if n == 0 {
-		n = req.N
-	}
-	switch {
-	case n <= 0:
-		return req, fmt.Errorf("supply quotes or n > 0")
+	switch n := len(req.Quotes); {
+	case n == 0:
+		return req, fmt.Errorf("no quotes in request")
 	case n > limit:
 		return req, fmt.Errorf("%w: %d quotes > depth %d", ErrBatchTooLarge, n, limit)
 	}
 	return req, nil
 }
 
-// Resolve converts the wire request into the quotes the solver inverts:
-// the explicit quotes, or the generated chain priced on a reference
-// lattice at steps. Every quote is a valid contract with a positive
-// price.
-func (r VolCurveRequest) Resolve(steps int) ([]workload.Quote, error) {
+// Resolve converts the wire quotes into the ones the solver inverts:
+// every quote a valid contract with a positive price.
+func (r VolCurveRequest) Resolve() ([]workload.Quote, error) {
 	quotes := make([]workload.Quote, len(r.Quotes))
 	for i, q := range r.Quotes {
 		o, err := q.Contract.ToOption()
 		if err != nil {
 			return nil, fmt.Errorf("quote %d: %v", i, err)
 		}
-		quotes[i] = workload.Quote{Option: o, Price: q.Price}
-	}
-	if len(quotes) == 0 {
-		spec := workload.DefaultVolCurveSpec(r.Seed)
-		spec.N = r.N
-		chain, err := workload.Chain(spec)
-		if err != nil {
-			return nil, err
-		}
-		if quotes, err = workload.ReferenceQuotes(chain, steps, 0); err != nil {
-			return nil, err
-		}
-	}
-	for i, q := range quotes {
 		if !(q.Price > 0) {
 			return nil, fmt.Errorf("quote %d: price must be positive, got %v", i, q.Price)
 		}
+		quotes[i] = workload.Quote{Option: o, Price: q.Price}
 	}
 	return quotes, nil
 }
@@ -466,7 +443,7 @@ func (s *Server) handleVolCurve(w http.ResponseWriter, r *http.Request) {
 		e.fail(statusOf(err, http.StatusBadRequest), err)
 		return
 	}
-	quotes, err := req.Resolve(s.cfg.Steps)
+	quotes, err := req.Resolve()
 	if err != nil {
 		e.fail(http.StatusBadRequest, err)
 		return

@@ -72,7 +72,7 @@ func (g *gate) open() { g.once.Do(func() { close(g.step) }) }
 // shard must reproduce bit for bit.
 func refEngine(t testing.TB, s *Server) *lattice.Engine {
 	t.Helper()
-	eng, err := lattice.NewEngine(s.Steps())
+	eng, err := lattice.NewEngine(s.cfg.Steps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,9 +56,6 @@ func KeyFor(o option.Option, steps int) Key {
 	}
 }
 
-// Steps reports the lattice depth baked into the key.
-func (k Key) Steps() int { return k.steps }
-
 // String renders the key's canonical textual form, the byte string the
 // cluster tier hashes for contract placement. Floats render as exact
 // hexadecimal ('x') so two economically identical contracts produce the

@@ -118,7 +118,7 @@ func TestKeyForTable(t *testing.T) {
 				tc.name, ka.String() == kb.String(), tc.equal, ka, kb)
 		}
 	}
-	if got := KeyFor(base, 128).Steps(); got != 128 {
+	if got := KeyFor(base, 128).steps; got != 128 {
 		t.Errorf("Steps() = %d, want 128", got)
 	}
 }

@@ -117,9 +117,10 @@ func FuzzParseScenarioRequest(f *testing.F) {
 // FuzzParseVolCurveRequest feeds arbitrary bodies to the /v1/volcurve
 // parser and resolver. Neither may panic, and an accepted request
 // resolves to 1..limit quotes, each a valid contract with a positive
-// price: the bound holds before the generated form prices its chain.
+// price. The {"n":...} seeds are the retired generated-chain form, which
+// must be refused.
 func FuzzParseVolCurveRequest(f *testing.F) {
-	const limit, steps = 64, 16
+	const limit = 64
 	for _, seed := range []string{
 		`{"n":16,"seed":7}`,
 		`{"n":64,"seed":-1}`,
@@ -139,7 +140,7 @@ func FuzzParseVolCurveRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		quotes, err := req.Resolve(steps)
+		quotes, err := req.Resolve()
 		if err != nil {
 			return
 		}

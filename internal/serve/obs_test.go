@@ -48,7 +48,7 @@ func TestTraceparentAdoptedFromRemote(t *testing.T) {
 	}{
 		{"price", "/v1/price", PriceRequest{Contracts: obsContracts(2)},
 			[]string{"POST /v1/price", "batch", "queue", "compute", "readback"}},
-		{"volcurve", "/v1/volcurve", VolCurveRequest{N: 4, Seed: 1},
+		{"volcurve", "/v1/volcurve", VolCurveRequest{Quotes: chainQuotes(t, 32, 4, 1)},
 			[]string{"POST /v1/volcurve"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -519,7 +519,7 @@ func TestScenarioFailsOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := lattice.NewEngine(s.Steps())
+	ref, err := lattice.NewEngine(s.cfg.Steps)
 	if err != nil {
 		t.Fatal(err)
 	}

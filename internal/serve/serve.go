@@ -253,9 +253,6 @@ func (s *Server) substrateStats() []substrateStat {
 	return out
 }
 
-// Steps reports the lattice depth the server prices at.
-func (s *Server) Steps() int { return s.cfg.Steps }
-
 // CacheGeneration reports the result cache's current market-data
 // generation.
 func (s *Server) CacheGeneration() uint64 { return s.cacheGen.Load() }
@@ -282,10 +279,6 @@ func (s *Server) Invalidate(gen uint64) bool {
 		}
 	}
 }
-
-// Tracer returns the server's span tracer (nil when tracing is off),
-// for mounting /debug/trace on auxiliary listeners.
-func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 
 // QueueDepth reports the currently admitted, not yet completed options.
 func (s *Server) QueueDepth() int64 { return s.queued.Load() }
@@ -406,19 +399,13 @@ func (p *PhaseBreakdown) Add(o PhaseBreakdown) {
 	p.Joules += o.Joules
 }
 
-// PriceOptions prices a slice of contracts through the full serving path:
-// cache lookup, admission control, micro-batching, backend shards.
-// Results arrive in input order. It returns ErrSaturated when admission
-// would exceed the queue depth and ErrClosed during shutdown; the ctx
-// cancelling abandons the wait (already-admitted work still completes and
-// populates the cache).
-func (s *Server) PriceOptions(ctx context.Context, opts []option.Option) ([]Result, error) {
-	results, _, err := s.PriceOptionsTimed(ctx, opts)
-	return results, err
-}
-
-// PriceOptionsTimed is PriceOptions plus the request's per-phase latency
+// PriceOptionsTimed prices a slice of contracts through the full serving
+// path: cache lookup, admission control, micro-batching, backend shards.
+// Results arrive in input order, with the request's per-phase latency
 // breakdown, which the HTTP handler exports as a Server-Timing header.
+// It returns ErrSaturated when admission would exceed the queue depth
+// and ErrClosed during shutdown; the ctx cancelling abandons the wait
+// (already-admitted work still completes and populates the cache).
 func (s *Server) PriceOptionsTimed(ctx context.Context, opts []option.Option) ([]Result, PhaseBreakdown, error) {
 	var phases PhaseBreakdown
 	if s.closed.Load() {

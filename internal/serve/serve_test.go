@@ -212,12 +212,13 @@ func TestOversizeBody413(t *testing.T) {
 	}
 }
 
-// TestVolCurveEndpoint runs the generated-chain form of the use case and
-// checks the recovered smile is a plausible volatility curve.
+// TestVolCurveEndpoint runs the use case on a quoted chain and checks
+// the recovered smile is a plausible volatility curve.
 func TestVolCurveEndpoint(t *testing.T) {
 	_, hs := newTestServer(t, Config{Steps: 64})
 	before := metricValue(t, hs.URL, "binopt_solver_pricings_total")
-	resp, body := postJSON(t, hs.URL+"/v1/volcurve", VolCurveRequest{N: 32, Seed: 11})
+	req := VolCurveRequest{Quotes: chainQuotes(t, 64, 32, 11)}
+	resp, body := postJSON(t, hs.URL+"/v1/volcurve", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -235,14 +236,8 @@ func TestVolCurveEndpoint(t *testing.T) {
 	}
 
 	// binopt_solver_pricings_total counts lattice evaluations: exactly
-	// what per-quote Brent spends on the same generated quotes.
-	spec := workload.DefaultVolCurveSpec(11)
-	spec.N = 32
-	chain, err := workload.Chain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quotes, err := workload.ReferenceQuotes(chain, 64, 0)
+	// what per-quote Brent spends on the same quotes.
+	quotes, err := req.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +261,10 @@ func TestVolCurveEndpoint(t *testing.T) {
 	resp, _ = postJSON(t, hs.URL+"/v1/volcurve", VolCurveRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty volcurve request: status %d, want 400", resp.StatusCode)
+	}
+	resp, _ = postJSON(t, hs.URL+"/v1/volcurve", map[string]int{"n": 16, "seed": 7})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf(`{"n":16,"seed":7} with no quotes: status %d, want 400`, resp.StatusCode)
 	}
 }
 

@@ -132,7 +132,7 @@ func TestDebugTraceEndToEnd(t *testing.T) {
 // exist and pricing emits nothing.
 func TestTraceDisabledByDefault(t *testing.T) {
 	s, hs := newTestServer(t, Config{Steps: 64})
-	if s.Tracer().Enabled() {
+	if s.tracer.Enabled() {
 		t.Fatal("tracer enabled without config")
 	}
 	resp, err := http.Get(hs.URL + "/debug/trace")

@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -61,7 +63,7 @@ func chainQuotes(t *testing.T, steps, n int, seed int64) []QuoteJSON {
 // the same quotes.
 func refCurve(t *testing.T, steps int, req VolCurveRequest) ([]volatility.CurvePoint, int, int64) {
 	t.Helper()
-	quotes, err := req.Resolve(steps)
+	quotes, err := req.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func sameCurve(t *testing.T, got VolCurveResponse, want []volatility.CurvePoint,
 // slot a round took is released.
 func TestVolCurveOnShards(t *testing.T) {
 	const steps = 64
-	req := VolCurveRequest{N: 240, Seed: 3}
+	req := VolCurveRequest{Quotes: chainQuotes(t, steps, 240, 3)}
 	s, hs := newTestServer(t, Config{Steps: steps, CacheSize: -1})
 	want, skipped, pricings := refCurve(t, steps, req)
 
@@ -155,6 +157,30 @@ func TestVolCurveOnShards(t *testing.T) {
 	}
 }
 
+// TestVolCurveCommittedBody: testdata/volcurve16.json, the body the
+// README and the verification notes post, is a valid curve request
+// (DefaultVolCurveSpec(7), 16 puts quoted on a 1024-step lattice), and
+// the server answers it bit-identically to the lock-step solve over a
+// reference lattice. A shallower server than the quotes' lattice keeps
+// the test cheap; the curve is still a smile.
+func TestVolCurveCommittedBody(t *testing.T) {
+	const steps = 128
+	body, err := os.ReadFile(filepath.Join("testdata", "volcurve16.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := ParseVolCurveRequest(body, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(req.Quotes) != 16 {
+		t.Fatalf("committed body holds %d quotes, want 16", len(req.Quotes))
+	}
+	_, hs := newTestServer(t, Config{Steps: steps, CacheSize: -1})
+	want, skipped, _ := refCurve(t, steps, req)
+	sameCurve(t, postVolCurve(t, hs.URL, json.RawMessage(body)), want, skipped)
+}
+
 // TestVolCurveFailsOver: with the first-choice shard failing every
 // submission, each round retries on another shard, so the curve still
 // comes back bit-identical; every failure is booked against that
@@ -164,8 +190,8 @@ func TestVolCurveFailsOver(t *testing.T) {
 	s, url, byCost := placementPool(t, 0)
 	first := byCost[0]
 	first.cfg.Engine.SetFaultHook(func() error { return errors.New("injected fault") })
-	req := VolCurveRequest{Quotes: chainQuotes(t, s.Steps(), 48, 5)}
-	want, skipped, _ := refCurve(t, s.Steps(), req)
+	req := VolCurveRequest{Quotes: chainQuotes(t, s.cfg.Steps, 48, 5)}
+	want, skipped, _ := refCurve(t, s.cfg.Steps, req)
 	firstPriced := first.cfg.Engine.PricedOptions() // the parity probe
 
 	got := postVolCurve(t, url, req)
@@ -216,7 +242,7 @@ func TestVolCurveSaturated429(t *testing.T) {
 		})
 	}
 
-	req := VolCurveRequest{Quotes: chainQuotes(t, s.Steps(), 4, 1)}
+	req := VolCurveRequest{Quotes: chainQuotes(t, s.cfg.Steps, 4, 1)}
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
@@ -268,9 +294,10 @@ func TestVolCurveRoundAfterClose503(t *testing.T) {
 	defer g.open()
 	s.backends[0].cfg.Engine.SetFaultHook(g.hook)
 
+	req := VolCurveRequest{Quotes: chainQuotes(t, 32, 4, 1)}
 	status := make(chan int, 1)
 	go func() {
-		body, _ := json.Marshal(VolCurveRequest{N: 4, Seed: 1})
+		body, _ := json.Marshal(req)
 		resp, err := http.Post(hs.URL+"/v1/volcurve", "application/json", bytes.NewReader(body))
 		if err != nil {
 			status <- -1
@@ -293,8 +320,8 @@ func TestVolCurveRoundAfterClose503(t *testing.T) {
 }
 
 // TestVolCurveInputBound413: a curve of more quotes than the queue
-// depth — generated or explicit — is refused with 413 before anything
-// is priced; one of exactly the depth is served.
+// depth is refused with 413 before anything is priced; one of exactly
+// the depth is served.
 func TestVolCurveInputBound413(t *testing.T) {
 	const depth = 8
 	s, hs := newTestServer(t, Config{Steps: 32, CacheSize: -1, QueueDepth: depth,
@@ -304,17 +331,17 @@ func TestVolCurveInputBound413(t *testing.T) {
 	for i := range quotes {
 		quotes[i] = QuoteJSON{Contract: FromOption(testOption(i)), Price: 5}
 	}
-	for _, req := range []VolCurveRequest{{N: depth + 1}, {N: 1 << 30}, {Quotes: quotes}} {
+	for _, req := range []VolCurveRequest{{Quotes: chainQuotes(t, 32, depth+1, 1)}, {Quotes: quotes}} {
 		before := eng.PricedOptions()
 		resp, out := postJSON(t, hs.URL+"/v1/volcurve", req)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("n=%d, %d quotes: status %d, want 413: %s", req.N, len(req.Quotes), resp.StatusCode, out)
+			t.Errorf("%d quotes: status %d, want 413: %s", len(req.Quotes), resp.StatusCode, out)
 		}
 		if moved := eng.PricedOptions() - before; moved != 0 {
-			t.Errorf("n=%d, %d quotes: refused curve priced %d options", req.N, len(req.Quotes), moved)
+			t.Errorf("%d quotes: refused curve priced %d options", len(req.Quotes), moved)
 		}
 	}
-	if got := postVolCurve(t, hs.URL, VolCurveRequest{N: depth, Seed: 1}); len(got.Points)+got.Skipped != depth {
+	if got := postVolCurve(t, hs.URL, VolCurveRequest{Quotes: chainQuotes(t, 32, depth, 1)}); len(got.Points)+got.Skipped != depth {
 		t.Errorf("curve of depth %d: %d points + %d skipped", depth, len(got.Points), got.Skipped)
 	}
 }
@@ -359,23 +386,24 @@ func TestVolCurveErrorStatus(t *testing.T) {
 	}
 }
 
-// TestParseVolCurveRequest: the body grammar is one of quotes or n > 0,
-// bounded by the limit.
+// TestParseVolCurveRequest: the body grammar is one to limit quotes; a
+// chain count without quotes is not a request.
 func TestParseVolCurveRequest(t *testing.T) {
 	for _, tc := range []struct {
 		body     string
 		tooLarge bool
 		ok       bool
 	}{
-		{`{"n":4}`, false, true},
-		{`{"n":4,"seed":-9}`, false, true},
-		{`{"n":5}`, true, false},
+		{`{"quotes":[{"price":1}]}`, false, true},
 		{`{"quotes":[{"price":1},{"price":1},{"price":1},{"price":1}],"n":99}`, false, true},
 		{`{"quotes":[{},{},{},{},{}]}`, true, false},
+		{`{"n":4}`, false, false},
+		{`{"n":4,"seed":-9}`, false, false},
+		{`{"n":5}`, false, false},
+		{`{"quotes":[]}`, false, false},
 		{`{}`, false, false},
-		{`{"n":-1}`, false, false},
-		{`{"n":"4"}`, false, false},
-		{`{"n":4} trailing`, false, false},
+		{`{"quotes":{}}`, false, false},
+		{`{"quotes":[{"price":1}]} trailing`, false, false},
 	} {
 		_, err := ParseVolCurveRequest([]byte(tc.body), 4)
 		if (err == nil) != tc.ok || errors.Is(err, ErrBatchTooLarge) != tc.tooLarge {

@@ -376,10 +376,6 @@ func (a *Active) SetReq(req uint64) { a.sp.Req = req }
 // SetTrace stitches the span to a distributed trace ID.
 func (a *Active) SetTrace(trace string) { a.sp.Trace = trace }
 
-// Trace returns the span's distributed trace ID ("" when inert or
-// unstitched).
-func (a *Active) Trace() string { return a.sp.Trace }
-
 // End closes and emits the span.
 func (a *Active) End() {
 	if a.t == nil {

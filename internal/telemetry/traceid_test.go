@@ -234,8 +234,8 @@ func TestActiveSetTrace(t *testing.T) {
 	tr := New(4)
 	a := tr.Begin("request", "host", "requests")
 	a.SetTrace("4bf92f3577b34da6a3ce929d0e0e4736")
-	if a.Trace() != "4bf92f3577b34da6a3ce929d0e0e4736" {
-		t.Errorf("Trace() = %q", a.Trace())
+	if a.sp.Trace != "4bf92f3577b34da6a3ce929d0e0e4736" {
+		t.Errorf("trace = %q", a.sp.Trace)
 	}
 	a.End()
 	if got := tr.Snapshot()[0].Trace; got != "4bf92f3577b34da6a3ce929d0e0e4736" {
