@@ -117,25 +117,6 @@ type fleetConfig struct {
 	drain       time.Duration
 }
 
-// parseLogLevel maps the -log-level flag onto slog's scale. The second
-// return is false for "off": structured logging disabled outright, not
-// merely filtered.
-func parseLogLevel(s string) (slog.Level, bool, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "debug":
-		return slog.LevelDebug, true, nil
-	case "info", "":
-		return slog.LevelInfo, true, nil
-	case "warn":
-		return slog.LevelWarn, true, nil
-	case "error":
-		return slog.LevelError, true, nil
-	case "off":
-		return 0, false, nil
-	}
-	return 0, false, fmt.Errorf("-log-level must be debug, info, warn, error or off, got %q", s)
-}
-
 // buildMembers resolves the membership: external URLs under -join, or a
 // freshly booted in-process fleet otherwise (returned for chaos control
 // and shutdown; nil in join mode). sloOpts and nodeLog ride into each
@@ -221,7 +202,7 @@ func fleetHandler(rt *cluster.Router, fleet *cluster.LocalFleet) http.Handler {
 }
 
 func run(cfg fleetConfig) error {
-	level, logOn, err := parseLogLevel(cfg.logLevel)
+	level, logOn, err := obslog.ParseLevel(cfg.logLevel)
 	if err != nil {
 		return err
 	}

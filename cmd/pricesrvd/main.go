@@ -56,7 +56,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -155,25 +154,6 @@ type serverConfig struct {
 	brCooldown  time.Duration
 }
 
-// parseLogLevel maps the -log-level flag onto slog's scale. The second
-// return is false for "off": structured logging disabled outright, not
-// merely filtered.
-func parseLogLevel(s string) (slog.Level, bool, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "debug":
-		return slog.LevelDebug, true, nil
-	case "info", "":
-		return slog.LevelInfo, true, nil
-	case "warn":
-		return slog.LevelWarn, true, nil
-	case "error":
-		return slog.LevelError, true, nil
-	case "off":
-		return 0, false, nil
-	}
-	return 0, false, fmt.Errorf("-log-level must be debug, info, warn, error or off, got %q", s)
-}
-
 // debugHandler builds the auxiliary listener's mux: the pprof family
 // plus the trace endpoint, so one curl fetches either a CPU profile or
 // a request timeline.
@@ -221,7 +201,7 @@ func run(cfg serverConfig) error {
 	if cfg.trace {
 		tracer = telemetry.New(cfg.traceBuf)
 	}
-	level, logOn, err := parseLogLevel(cfg.logLevel)
+	level, logOn, err := obslog.ParseLevel(cfg.logLevel)
 	if err != nil {
 		return err
 	}

@@ -338,6 +338,12 @@ func (e *Engine) Price(o option.Option) (float64, error) {
 	return p, nil
 }
 
+// PriceUnbooked prices one option on the engine's serving arithmetic
+// and books nothing: no counters, device clock or energy, and no fault
+// hook draw. It is for checks of the engine itself, such as a server's
+// start-up parity probe, which must not show up as served work.
+func (e *Engine) PriceUnbooked(o option.Option) (float64, error) { return e.host.Price(o) }
+
 // PriceBatch prices a batch (workers <= 0 uses GOMAXPROCS) and accounts
 // its modelled substrate activity. The fault hook is consulted once per
 // batch — the batch is one modelled device submission. The host lattice

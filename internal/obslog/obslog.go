@@ -8,8 +8,10 @@
 package obslog
 
 import (
+	"fmt"
 	"io"
 	"log/slog"
+	"strings"
 )
 
 // Attribute keys shared across the fleet. Using the constants keeps the
@@ -31,6 +33,26 @@ const (
 func New(w io.Writer, component string, level slog.Level) *slog.Logger {
 	h := slog.NewTextHandler(w, &slog.HandlerOptions{Level: level})
 	return slog.New(h).With(KeyComponent, component)
+}
+
+// ParseLevel maps a -log-level flag value onto slog's scale: debug,
+// info (also ""), warn, error or off, in any case. The second return is
+// false for "off": structured logging disabled outright, not merely
+// filtered.
+func ParseLevel(s string) (slog.Level, bool, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "debug":
+		return slog.LevelDebug, true, nil
+	case "info", "":
+		return slog.LevelInfo, true, nil
+	case "warn":
+		return slog.LevelWarn, true, nil
+	case "error":
+		return slog.LevelError, true, nil
+	case "off":
+		return 0, false, nil
+	}
+	return 0, false, fmt.Errorf("-log-level must be debug, info, warn, error or off, got %q", s)
 }
 
 // Nop returns an enabled-but-silent logger: every call is accepted and

@@ -62,3 +62,27 @@ func TestNopAndOr(t *testing.T) {
 		t.Error("Or replaced a non-nil logger")
 	}
 }
+
+// TestParseLevel: the five flag names in any case, "" as info, and a
+// bad value refused.
+func TestParseLevel(t *testing.T) {
+	for _, tc := range []struct {
+		in    string
+		level slog.Level
+		on    bool
+		ok    bool
+	}{
+		{"debug", slog.LevelDebug, true, true},
+		{"INFO", slog.LevelInfo, true, true},
+		{"", slog.LevelInfo, true, true},
+		{" warn ", slog.LevelWarn, true, true},
+		{"error", slog.LevelError, true, true},
+		{"off", 0, false, true},
+		{"verbose", 0, false, false},
+	} {
+		level, on, err := ParseLevel(tc.in)
+		if (err == nil) != tc.ok || level != tc.level || on != tc.on {
+			t.Errorf("ParseLevel(%q) = %v, %t, %v; want %v, %t, ok=%t", tc.in, level, on, err, tc.level, tc.on, tc.ok)
+		}
+	}
+}

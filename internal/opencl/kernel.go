@@ -37,12 +37,13 @@ func NewKernel(name string, usesBarriers bool, fn KernelFunc) *Kernel {
 }
 
 // SetArgs binds the full argument list. Allowed argument types: *Buffer
-// (global memory), LocalAlloc (local memory), float64, int. Rebinding is
-// allowed between enqueues, as in OpenCL.
+// (global memory), LocalAlloc (local memory) and int, the kinds the
+// kernels read; a float scalar travels in a buffer. Rebinding is allowed
+// between enqueues, as in OpenCL.
 func (k *Kernel) SetArgs(args ...any) error {
 	for i, a := range args {
 		switch a.(type) {
-		case *Buffer, LocalAlloc, float64, int:
+		case *Buffer, LocalAlloc, int:
 		default:
 			return fmt.Errorf("opencl: kernel %q arg %d has unsupported type %T", k.Name, i, a)
 		}

@@ -265,7 +265,10 @@ func TestSetArgsRejectsUnknownTypes(t *testing.T) {
 	if err := k.SetArgs("a string"); err == nil {
 		t.Error("string arg should be rejected")
 	}
-	if err := k.SetArgs(3.0, 7, LocalAlloc{N: 1, ElemBytes: 8}); err != nil {
+	if err := k.SetArgs(1.5); err == nil {
+		t.Error("float64 arg should be rejected: no kernel reads a float scalar")
+	}
+	if err := k.SetArgs(7, LocalAlloc{N: 1, ElemBytes: 8}); err != nil {
 		t.Errorf("valid args rejected: %v", err)
 	}
 }
@@ -275,7 +278,7 @@ func TestArgAccessorsTypeMismatch(t *testing.T) {
 	q := ctx.NewQueue()
 	b, _ := ctx.CreateBuffer("b", 4, 8)
 	k := NewKernel("mismatch", false, func(wi *WorkItem) {
-		wi.Float(0) // arg 0 is a buffer
+		wi.Int(0) // arg 0 is a buffer
 	})
 	if err := k.SetArgs(b); err != nil {
 		t.Fatal(err)
@@ -299,9 +302,9 @@ func TestScalarArgs(t *testing.T) {
 	q := ctx.NewQueue()
 	out, _ := ctx.CreateBuffer("out", 4, 8)
 	k := NewKernel("scalar", false, func(wi *WorkItem) {
-		wi.Store(wi.Buffer(0), wi.GlobalID(), wi.Float(1)*float64(wi.Int(2)))
+		wi.Store(wi.Buffer(0), wi.GlobalID(), 2.5*float64(wi.Int(1)))
 	})
-	if err := k.SetArgs(out, 2.5, 4); err != nil {
+	if err := k.SetArgs(out, 4); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := q.EnqueueNDRange(k, 4, 2); err != nil {

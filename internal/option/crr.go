@@ -1,9 +1,16 @@
 package option
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
+
+// ErrProbabilityRange reports a contract with no valid lattice at the
+// requested depth: its risk-neutral probability falls outside (0, 1).
+// The contract itself is at fault, so every engine fails it the same
+// way; callers test for it with errors.Is.
+var ErrProbabilityRange = errors.New("option: risk-neutral probability outside (0,1)")
 
 // Parameterisation selects how the up/down factors and risk-neutral
 // probability of the binomial lattice are derived from the contract. The
@@ -104,8 +111,7 @@ func NewLatticeParams(o Option, n int, param Parameterisation) (LatticeParams, e
 	}
 
 	if !(p > 0 && p < 1) {
-		return LatticeParams{}, fmt.Errorf(
-			"option: risk-neutral probability %v outside (0,1); increase steps (N=%d, dt=%v)", p, n, dt)
+		return LatticeParams{}, fmt.Errorf("%w: p = %v; increase steps (N=%d, dt=%v)", ErrProbabilityRange, p, n, dt)
 	}
 	disc := math.Exp(-o.Rate * dt)
 	return LatticeParams{

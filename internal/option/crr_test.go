@@ -1,6 +1,7 @@
 package option
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -49,8 +50,8 @@ func TestNewLatticeParamsErrors(t *testing.T) {
 	drifty := o
 	drifty.Rate = 0.9
 	drifty.Sigma = 0.05
-	if _, err := NewLatticeParams(drifty, 1, CRR); err == nil {
-		t.Error("p outside (0,1) should fail")
+	if _, err := NewLatticeParams(drifty, 1, CRR); !errors.Is(err, ErrProbabilityRange) {
+		t.Errorf("p outside (0,1): err = %v, want ErrProbabilityRange", err)
 	}
 }
 

@@ -373,11 +373,13 @@ func (e *edge) reply(v any) {
 	writeJSON(e.w, http.StatusOK, v)
 }
 
-// statusOf maps a serving error to its HTTP status: a batch too large
-// for the queue 413, saturation 429, shutdown 503, anything else
-// otherwise.
+// statusOf maps a serving error to its HTTP status: a contract with no
+// valid lattice 400, a batch too large for the queue 413, saturation
+// 429, shutdown 503, anything else otherwise.
 func statusOf(err error, otherwise int) int {
 	switch {
+	case errors.Is(err, option.ErrProbabilityRange):
+		return http.StatusBadRequest
 	case errors.Is(err, ErrBatchTooLarge):
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrSaturated):

@@ -1,12 +1,11 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
-	"reflect"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -21,9 +20,9 @@ import (
 // real simulated kernel and metering device counters — so results are
 // exact and identical across shards while each shard's substrate
 // activity is accounted separately. The engine's estimate also drives
-// placement (the cheapest shard per option with an idle worker is
-// offered work first, then the fastest to drain) and the energy
-// accounting (modelled joules per option = power / throughput).
+// placement (waiting work starts on the cheapest shard per option with
+// an idle worker) and the energy accounting (modelled joules per option
+// = power / throughput).
 type BackendConfig struct {
 	// Name labels the shard in responses and metrics; DefaultBackends
 	// uses the accel registry name.
@@ -31,10 +30,9 @@ type BackendConfig struct {
 	// Engine prices this shard's work (bit-identical to the reference
 	// lattice, with counter accounting). New rejects a shard without one.
 	Engine *accel.Engine
-	// Workers is the number of concurrent batch executors (default 1).
+	// Workers is the number of pieces of work — contract batches,
+	// revaluations, curve rounds — the shard runs at once (default 1).
 	Workers int
-	// QueueDepth bounds the shard's batch queue (default 32 batches).
-	QueueDepth int
 }
 
 // DefaultBackends builds the serving pool from the accel registry at the
@@ -65,21 +63,18 @@ func DefaultBackends(steps int) ([]BackendConfig, error) {
 	return out, nil
 }
 
-// backend is a running shard: a bounded batch queue drained by Workers
-// goroutines, with a circuit breaker tracking its rolling health.
+// backend is a running shard: Workers slots that waiting work claims
+// from the batcher's FIFO, with a circuit breaker tracking its rolling
+// health.
 type backend struct {
 	cfg    BackendConfig
-	jobs   chan []*job
 	joules float64 // modelled joules per option on this device
 	rate   float64 // modelled options per second on this device
-	// pending counts options dispatched to this shard (those of work
-	// onShard is running included) and not yet completed or failed
-	// over; admission reads it to estimate drain time.
+	// pending counts options running on this shard and not yet
+	// completed or failed over; /healthz reports it.
 	pending atomic.Int64
-	// inflight counts work holding a slot on this shard: batches queued
-	// or executing, and work onShard is running on its engine. Fewer
-	// than Workers in flight means a worker is idle, which energy-first
-	// placement looks for.
+	// inflight counts the shard's claimed slots: work started on it and
+	// not yet released. Fewer than Workers means a worker is idle.
 	inflight atomic.Int64
 	priced   *atomic.Int64 // metrics counter: options priced here
 	errs     *atomic.Int64 // metrics counter: pricing attempts failed here
@@ -90,12 +85,8 @@ func newBackend(cfg BackendConfig, m *metrics, bcfg BreakerConfig) *backend {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 32
-	}
 	return &backend{
 		cfg:     cfg,
-		jobs:    make(chan []*job, cfg.QueueDepth),
 		joules:  cfg.Engine.ModelledJoulesPerOption(),
 		rate:    cfg.Engine.Estimate().OptionsPerSec,
 		priced:  m.backendCounter(cfg.Name),
@@ -104,60 +95,73 @@ func newBackend(cfg BackendConfig, m *metrics, bcfg BreakerConfig) *backend {
 	}
 }
 
-// drainScore estimates how long this shard's backlog takes to clear under
-// its modelled throughput — the admission signal. Lower is better.
-func (be *backend) drainScore() float64 {
-	rate := be.rate
-	if rate <= 0 {
-		rate = 1
-	}
-	return float64(be.pending.Load()+1) / rate
+// idle reports whether one of the shard's workers has nothing to run.
+func (be *backend) idle() bool {
+	return be.inflight.Load() < int64(be.cfg.Workers)
 }
 
-// submit hands one request's cache misses to the batcher and
-// dispatches what it releases: every full chunk, and the remainder
-// when a placement candidate has an idle worker.
+// submit queues one request's cache misses in the batcher's FIFO and
+// starts whatever idle slots fit.
 func (s *Server) submit(jobs []*job) error {
-	batches, err := s.batcher.add(jobs)
-	if err != nil {
+	if err := s.batcher.add(jobs); err != nil {
 		return err
 	}
-	for _, batch := range batches {
-		s.dispatchBatch(batch)
-	}
+	s.pump()
 	return nil
 }
 
-// kick follows every release of a shard slot: it hands the batcher's
-// oldest buffered chunk, if any, to placement. Its callers — a batch
-// worker, the shard runner — free their slot first, which is what
-// makes the batcher's idle trigger lose no wakeup.
-func (s *Server) kick() {
-	if batch := s.batcher.next(); batch != nil {
-		s.dispatchBatch(batch)
+// pump starts waiting work, oldest first, while an idle slot fits it:
+// a chunk of contract jobs on a runner goroutine of its own, or a run
+// handed back to the request goroutine waiting in onShard. It follows
+// every arrival and every slot release.
+func (s *Server) pump() {
+	for {
+		be, batch, r := s.batcher.next(s.claim)
+		switch {
+		case r != nil:
+			r <- be
+		case batch != nil:
+			s.metrics.batchSize.Observe(float64(len(batch)))
+			now := time.Now()
+			for _, j := range batch {
+				j.flushed = now
+			}
+			be.pending.Add(int64(len(batch)))
+			s.wg.Add(1)
+			go s.execute(be, batch)
+		default:
+			return
+		}
 	}
 }
 
-// dispatchBatch routes one freshly flushed batch into the pool.
-func (s *Server) dispatchBatch(batch []*job) {
-	if len(batch) == 0 {
-		return
-	}
-	s.metrics.batchSize.Observe(float64(len(batch)))
-	now := time.Now()
-	for _, j := range batch {
-		j.flushed = now
-	}
-	s.dispatch(batch, nil)
+// release frees a slot claimed by the pump and pumps, so the oldest
+// waiting work that fits takes it at once.
+func (s *Server) release(be *backend) {
+	be.inflight.Add(-1)
+	s.pump()
 }
 
-// idle reports whether the batcher's idle trigger may fire: some shard
-// in place's candidate set has an idle worker.
-func (s *Server) idle() bool {
-	return slices.ContainsFunc(s.candidates(nil), (*backend).idle)
+// claim is the pool's one placement policy, shared by contract batches
+// and engine runs: it takes an idle slot on the cheapest candidate by
+// modelled joules per option, so the cheap devices take the load
+// before a faster, hungrier one is woken, and returns nil when every
+// candidate is busy. Only the batcher calls it, under its lock, so no
+// two claims interleave; releases only ever make a shard idler.
+func (s *Server) claim(exclude *backend) *backend {
+	var best *backend
+	for _, be := range s.candidates(exclude) {
+		if be.idle() && (best == nil || be.joules < best.joules) {
+			best = be
+		}
+	}
+	if best != nil {
+		best.inflight.Add(1)
+	}
+	return best
 }
 
-// candidates is place's candidate set: the breaker-eligible shards
+// candidates is claim's candidate set: the breaker-eligible shards
 // minus exclude (the shard a retried attempt just failed on). If the
 // breakers have shed everything, every shard but exclude is a
 // candidate again — a fully dark pool should still try rather than
@@ -182,191 +186,95 @@ func (s *Server) candidates(exclude *backend) []*backend {
 	return cands
 }
 
-// place is the pool's one placement policy, shared by contract batches
-// and the work onShard runs, over the candidates above. The work is
-// offered to each candidate until take accepts it: energy-first, the
-// lowest-joules shard with an idle worker (take(be, true)), so the
-// cheap devices take the load before a faster, hungrier one is woken;
-// failing that, in modelled-drain-time order, the first shard with
-// room left (take(be, false)). place returns the shard that accepted,
-// or nil when both passes declined, plus the candidates in drain-time
-// order.
-func (s *Server) place(exclude *backend, take func(be *backend, idleOnly bool) bool) (*backend, []*backend) {
-	cands := s.candidates(exclude)
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].joules < cands[j].joules })
-	for _, be := range cands {
-		if take(be, true) {
-			return be, cands
+// execute prices one chunk on the slot the pump claimed for it. It
+// frees the slot and pumps before it settles a single job: a
+// closed-loop client's next request then finds this shard idle instead
+// of spilling to a dearer one, and work that waited while every worker
+// was busy moves on at once. Settling caches, meters and delivers the
+// results; failed pricings go to failJob.
+func (s *Server) execute(be *backend, batch []*job) {
+	defer s.wg.Done()
+	prices, errs := s.price(be, batch)
+	s.release(be)
+	for i, j := range batch {
+		if errs != nil && errs[i] != nil {
+			s.failJob(be, j, errs[i])
+			continue
 		}
+		s.settle(be, j, prices[i])
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].drainScore() < cands[j].drainScore() })
-	for _, be := range cands {
-		if take(be, false) {
-			return be, cands
-		}
-	}
-	return nil, cands
-}
-
-// dispatch places a batch on a shard queue through place. If every
-// candidate declines, the batch waits for a queue in await on its own
-// goroutine: dispatch never blocks, so a batch worker handing on
-// buffered work cannot stall on the queues the workers drain. The
-// waiting goroutine joins the workers' WaitGroup, and its jobs stay
-// admitted, so Close waits for it either way.
-func (s *Server) dispatch(batch []*job, exclude *backend) {
-	be, cands := s.place(exclude, func(be *backend, idleOnly bool) bool { return be.offer(batch, idleOnly) })
-	if be == nil {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.await(batch, cands)
-		}()
-	}
-}
-
-// await selects across *every* candidate's queue at once, so the batch
-// lands on whichever shard frees up first instead of blocking on one
-// queue chosen from by-then-stale drain scores. The shutdown-abort
-// channel participates in the same select: a send abandoned at shutdown
-// fails the batch's jobs with ErrClosed and rolls back their admission,
-// rather than leaking them (and a pending count) on a queue nobody
-// drains.
-//
-// A shard's pending and inflight counts are booked only once its send
-// is certain, so the abandoned send has nothing to roll back there.
-func (s *Server) await(batch []*job, cands []*backend) {
-	cases := make([]reflect.SelectCase, 0, len(cands)+1)
-	cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(s.aborted)})
-	bv := reflect.ValueOf(batch)
-	for _, be := range cands {
-		cases = append(cases, reflect.SelectCase{Dir: reflect.SelectSend, Chan: reflect.ValueOf(be.jobs), Send: bv})
-	}
-	chosen, _, _ := reflect.Select(cases)
-	if chosen == 0 {
-		// Shutdown abandoned the send: fail the jobs and undo admission.
-		for _, j := range batch {
-			s.queued.Add(-1)
-			j.done <- jobResult{retries: j.retries, err: ErrClosed}
-		}
-		return
-	}
-	be := cands[chosen-1]
-	be.inflight.Add(1)
-	be.pending.Add(int64(len(batch)))
 }
 
 // onShard is the shard runner for work that runs on an engine from its
 // request goroutine: a scenario revaluation, or one round of an
-// implied-vol curve. It places the work with place, the policy contract
-// batches follow, and returns the shard whose engine run succeeded on.
-// The work holds a reserve slot of n options on its shard while run
-// executes, so contract dispatch and Retry-After see the load, and
-// kicks the batcher once it releases the slot, as a batch worker does.
-// It returns ErrClosed once Close has begun and ErrSaturated when no
-// shard has a slot left. A failed attempt is booked the way failJob
-// books one — breaker, shard and node error counters, retry counter —
-// and run moves, after retryBackoff, to the best shard other than the
-// one it failed on, within MaxAttempts.
-func (s *Server) onShard(n int64, log *slog.Logger, run func(*accel.Engine) error) (*backend, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	var failed *backend
-	for attempt := 1; ; attempt++ {
-		be, _ := s.place(failed, func(be *backend, idleOnly bool) bool { return be.reserve(n, idleOnly) })
-		if be == nil {
+// implied-vol curve. The run starts at once on an idle slot when
+// nothing waits ahead of it, and otherwise waits in the batcher's FIFO
+// like contract work until the pump claims it one. It holds the slot
+// and n pending options while price executes, and releases the slot
+// before it returns. It returns the shard whose engine the run
+// succeeded on; ErrClosed once Close has begun or abandoned the wait;
+// ErrSaturated when as many runs already wait as the pool has worker
+// slots. A failed attempt goes through failed, as a contract job's
+// does, and after retryBackoff returns to the FIFO's head to start on
+// any shard but the one it failed on.
+func (s *Server) onShard(n int64, log *slog.Logger, price func(*accel.Engine) error) (*backend, error) {
+	r := make(chan *backend, 1)
+	be, err := s.batcher.addRun(r, s.claim)
+	if err != nil {
+		if errors.Is(err, ErrSaturated) {
 			s.metrics.rejected.Add(1)
-			return nil, ErrSaturated
 		}
-		err := run(be.cfg.Engine)
-		be.release(n)
-		s.kick()
+		return nil, err
+	}
+	for attempt := 1; ; attempt++ {
+		if be == nil {
+			s.pump()
+			if be = <-r; be == nil {
+				return nil, ErrClosed
+			}
+		}
+		be.pending.Add(n)
+		err := price(be.cfg.Engine)
+		be.pending.Add(-n)
+		s.release(be)
 		if err == nil {
 			be.breaker.onSuccess()
 			return be, nil
 		}
-		be.breaker.onFailure()
-		be.errs.Add(1)
-		s.metrics.priceErrors.Add(1)
-		if attempt >= s.cfg.MaxAttempts {
-			return nil, fmt.Errorf("%d attempt(s) failed, last on %s: %w", attempt, be.cfg.Name, err)
+		if final := s.failed(be, err, attempt); final != nil {
+			return nil, final
 		}
-		s.metrics.retries.Add(1)
 		backoff := retryBackoff(s.cfg.RetryBackoff, attempt)
 		log.Warn("shard attempt failed, retrying on another shard",
 			"backend", be.cfg.Name, "attempt", attempt, "backoff", backoff.String(), "error", err.Error())
 		time.Sleep(backoff)
-		failed = be
-	}
-}
-
-// reserve claims one in-flight slot of n options on the shard: with
-// idleOnly only while a worker is idle, otherwise while the shard's
-// declared capacity — Workers executing plus QueueDepth queued — has
-// room. Batches hold the slot from offer until their worker finishes;
-// work run by onShard holds it until release.
-func (be *backend) reserve(n int64, idleOnly bool) bool {
-	limit := int64(be.cfg.Workers)
-	if !idleOnly {
-		limit += int64(be.cfg.QueueDepth)
-	}
-	if be.inflight.Add(1) > limit {
-		be.inflight.Add(-1)
-		return false
-	}
-	be.pending.Add(n)
-	return true
-}
-
-// release returns a slot taken by reserve.
-func (be *backend) release(n int64) {
-	be.pending.Add(-n)
-	be.inflight.Add(-1)
-}
-
-// idle reports whether one of the shard's workers has nothing to run.
-func (be *backend) idle() bool {
-	return be.inflight.Load() < int64(be.cfg.Workers)
-}
-
-// offer sends batch to the shard's queue without blocking and reports
-// whether it was taken, holding a reserve slot while it is in flight.
-func (be *backend) offer(batch []*job, idleOnly bool) bool {
-	n := int64(len(batch))
-	if !be.reserve(n, idleOnly) {
-		return false
-	}
-	select {
-	case be.jobs <- batch:
-		return true
-	default:
-		be.release(n)
-		return false
-	}
-}
-
-// worker drains batches from one shard until its queue closes. Each
-// batch is priced, then the worker frees its slot and kicks the
-// batcher before it settles a single job: a closed-loop client's next
-// request then finds this shard idle instead of spilling to a dearer
-// one, and work buffered while every worker was busy moves on at once.
-// Settling caches, meters and delivers the results; failed pricings
-// are booked against the shard's breaker and handed to failover.
-func (s *Server) worker(be *backend) {
-	defer s.wg.Done()
-	for batch := range be.jobs {
-		prices, errs := s.price(be, batch)
-		be.inflight.Add(-1)
-		s.kick()
-		for i, j := range batch {
-			if errs != nil && errs[i] != nil {
-				s.failJob(be, j, errs[i])
-				continue
-			}
-			s.settle(be, j, prices[i])
+		if err := s.batcher.retry(entry{run: r, exclude: be}); err != nil {
+			return nil, err
 		}
+		be = nil
 	}
+}
+
+// failed is the one failure path of contract jobs and engine runs. A
+// contract with no valid lattice at the server's depth
+// (option.ErrProbabilityRange) fails the same way on every shard, so
+// it is the client's fault: failed books nothing and returns it as the
+// final error. Any other error is booked as one failed attempt on be —
+// breaker, shard and node error counters — and failed returns nil while
+// the attempt budget allows a retry on another shard (counted), or the
+// final error once it is spent.
+func (s *Server) failed(be *backend, err error, attempt int) error {
+	if errors.Is(err, option.ErrProbabilityRange) {
+		return err
+	}
+	be.breaker.onFailure()
+	be.errs.Add(1)
+	s.metrics.priceErrors.Add(1)
+	if attempt >= s.cfg.MaxAttempts {
+		return fmt.Errorf("%d attempt(s) failed, last on %s: %w", attempt, be.cfg.Name, err)
+	}
+	s.metrics.retries.Add(1)
+	return nil
 }
 
 // price runs one batch on the shard's engine and returns its prices,
@@ -431,41 +339,37 @@ func (s *Server) settle(be *backend, j *job, price float64) {
 	j.done <- jobResult{price: price, backend: be.cfg.Name, joules: be.joules, retries: j.retries, err: nil}
 }
 
-// failJob books one failed pricing attempt against the shard's breaker
-// and error counters, then hands the job to failover.
-func (s *Server) failJob(be *backend, j *job, err error) {
-	be.breaker.onFailure()
-	be.errs.Add(1)
-	s.metrics.priceErrors.Add(1)
-	s.emitErrorSpan(j, be, err)
-	s.failover(be, j, err)
-}
-
-// failover settles a failed pricing attempt: within the attempt budget
-// the job is re-dispatched — after an exponential backoff — to the
-// next-best shard whose breaker admits it (bit-identical results across
-// shards are what make silent failover safe); past the budget the
-// requester gets the error. The job keeps holding its admission slot
+// failJob settles a failed pricing attempt: within the attempt budget
+// the job goes back to the FIFO's head — after an exponential backoff —
+// to start on any shard but this one (bit-identical results across
+// shards are what make silent failover safe); otherwise the requester
+// gets the final error. The job keeps holding its admission slot
 // (s.queued) throughout, so graceful drain waits for in-flight retries.
-func (s *Server) failover(be *backend, j *job, err error) {
+func (s *Server) failJob(be *backend, j *job, err error) {
 	be.pending.Add(-1)
-	attempts := j.retries + 1
-	if attempts >= s.cfg.MaxAttempts {
-		s.queued.Add(-1)
-		j.done <- jobResult{
-			backend: be.cfg.Name,
-			retries: j.retries,
-			err:     fmt.Errorf("%d attempt(s) failed, last on %s: %w", attempts, be.cfg.Name, err),
-		}
+	s.emitErrorSpan(j, be, err)
+	if final := s.failed(be, err, j.retries+1); final != nil {
+		s.deliverErr(j, be.cfg.Name, final)
 		return
 	}
 	j.retries++
-	s.metrics.retries.Add(1)
 	backoff := retryBackoff(s.cfg.RetryBackoff, j.retries)
 	s.emitRetrySpan(j, be, backoff, err)
-	// The backoff timer, not the worker, re-dispatches: the shard's
-	// other queued jobs must not wait out this job's penalty.
-	time.AfterFunc(backoff, func() { s.dispatch([]*job{j}, be) })
+	// The backoff timer, not the runner, requeues: the chunk's other
+	// jobs must not wait out this job's penalty.
+	time.AfterFunc(backoff, func() {
+		if err := s.batcher.retry(entry{job: j, exclude: be}); err != nil {
+			s.deliverErr(j, be.cfg.Name, err)
+			return
+		}
+		s.pump()
+	})
+}
+
+// deliverErr fails a job for good and gives back its admission slot.
+func (s *Server) deliverErr(j *job, backendName string, err error) {
+	s.queued.Add(-1)
+	j.done <- jobResult{backend: backendName, retries: j.retries, err: err}
 }
 
 // retryBackoff is base<<(retry-1), clamped so a misconfigured attempt
@@ -477,7 +381,7 @@ func retryBackoff(base time.Duration, retry int) time.Duration {
 	return base << (retry - 1)
 }
 
-// emitComputeSpan records the worker-side compute span of one priced
+// emitComputeSpan records the runner-side compute span of one priced
 // batch on the host clock, on the shard's own track. It is stitched to
 // the batch's first request and lists every request it served.
 func (s *Server) emitComputeSpan(be *backend, batch []*job, picked, computed time.Time) {

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -30,7 +33,7 @@ func testOption(i int) option.Option {
 // rejects the shard. At shallow depths fpga-ivb is both the cheaper
 // shard per option and the faster to drain, cpu-ref the dearer and
 // slower one.
-func testShard(t testing.TB, platform string, steps, workers, queueDepth int) BackendConfig {
+func testShard(t testing.TB, platform string, steps, workers int) BackendConfig {
 	t.Helper()
 	p, err := accel.Get(platform)
 	if err != nil {
@@ -40,7 +43,7 @@ func testShard(t testing.TB, platform string, steps, workers, queueDepth int) Ba
 	if err != nil {
 		t.Fatal(err)
 	}
-	return BackendConfig{Name: platform, Engine: eng, Workers: workers, QueueDepth: queueDepth}
+	return BackendConfig{Name: platform, Engine: eng, Workers: workers}
 }
 
 // gate is a fault hook that reports every batch submission on entered,
@@ -131,13 +134,13 @@ func wantPriced(t *testing.T, s *Server, jobs []*job) {
 }
 
 // TestFlushOnSize: while every worker is busy, singleton requests wait
-// in the buffer, and the size trigger alone cuts them into batches of
-// exactly MaxBatch.
+// in the FIFO, and each freed slot takes them in batches of exactly
+// MaxBatch.
 func TestFlushOnSize(t *testing.T) {
 	g := newGate()
 	s, err := New(Config{
 		Steps: 16, MaxBatch: 4,
-		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 8)},
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,18 +153,18 @@ func TestFlushOnSize(t *testing.T) {
 	<-g.entered // the shard's only worker is now busy
 	for i := 1; i <= 8; i++ {
 		jobs = append(jobs, submitJobs(t, s, false, testOption(i))...)
-		if got, want := s.batcher.pendingLen(), i%4; got != want {
-			t.Fatalf("after %d busy-time requests the buffer holds %d jobs, want %d", i, got, want)
+		if got := s.batcher.pendingLen(); got != i {
+			t.Fatalf("after %d busy-time requests the FIFO holds %d jobs, want %d", i, got, i)
 		}
 	}
-	if n := s.metrics.batchSize.Count(); n != 3 {
-		t.Fatalf("flushed %d batches, want 3 (the idle-time one, then two size-triggered)", n)
-	}
-	if sum := s.metrics.batchSize.Sum(); sum != 9 {
-		t.Fatalf("flushed %v options, want 1+4+4", sum)
+	if n := s.metrics.batchSize.Count(); n != 1 {
+		t.Fatalf("flushed %d batches with the worker busy, want 1 (the idle-time one)", n)
 	}
 	g.open()
 	wantPriced(t, s, jobs)
+	if n, sum := s.metrics.batchSize.Count(), s.metrics.batchSize.Sum(); n != 3 || sum != 9 {
+		t.Fatalf("flushed %d batches of %v options in all, want 3 of 1+4+4", n, sum)
+	}
 }
 
 // TestFlushWhenIdle: a lone request on a pool with an idle worker
@@ -169,7 +172,7 @@ func TestFlushOnSize(t *testing.T) {
 func TestFlushWhenIdle(t *testing.T) {
 	s, err := New(Config{
 		Steps: 16, MaxBatch: 1024,
-		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 8)},
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +203,7 @@ func TestFlushWhenIdle(t *testing.T) {
 func TestRequestLeavesAsOneBatch(t *testing.T) {
 	s, err := New(Config{
 		Steps: 16, MaxBatch: 64,
-		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 8)},
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +229,7 @@ func TestWorkerReleaseFlushesBuffer(t *testing.T) {
 	g := newGate()
 	s, err := New(Config{
 		Steps: 16, MaxBatch: 64,
-		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 8)},
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +263,7 @@ func TestRevaluationReleaseFlushesBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	shard := bcs[0]
-	shard.Workers, shard.QueueDepth = 1, 8
+	shard.Workers = 1
 	s, err := New(Config{Steps: steps, Backends: []BackendConfig{shard}, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -314,8 +317,8 @@ func TestAllBreakersOpenStillFlushes(t *testing.T) {
 	s, err := New(Config{
 		Steps: 16, MaxBatch: 64,
 		Backends: []BackendConfig{
-			testShard(t, "fpga-ivb", 16, 1, 8),
-			testShard(t, "cpu-ref", 16, 1, 8),
+			testShard(t, "fpga-ivb", 16, 1),
+			testShard(t, "cpu-ref", 16, 1),
 		},
 		Breaker: BreakerConfig{Cooldown: time.Hour},
 	})
@@ -347,8 +350,8 @@ func TestClosedLoopStaysOnCheapShard(t *testing.T) {
 	s, err := New(Config{
 		Steps: 16, MaxBatch: 64, CacheSize: -1,
 		Backends: []BackendConfig{
-			testShard(t, "fpga-ivb", 16, 1, 8),
-			testShard(t, "cpu-ref", 16, 2, 8),
+			testShard(t, "fpga-ivb", 16, 1),
+			testShard(t, "cpu-ref", 16, 2),
 		},
 	})
 	if err != nil {
@@ -372,7 +375,9 @@ func TestClosedLoopStaysOnCheapShard(t *testing.T) {
 
 	jobs := newJobs(s, true, testOption(0), testOption(1))
 	s.queued.Add(2)
-	s.dispatchBatch(jobs)
+	if err := s.submit(jobs); err != nil {
+		t.Fatal(err)
+	}
 	<-jobs[0].done // the worker now blocks delivering jobs[1]
 	if got := cheap.inflight.Load(); got != 0 {
 		t.Errorf("cheap shard holds %d slots while settling a priced batch, want 0", got)
@@ -381,12 +386,12 @@ func TestClosedLoopStaysOnCheapShard(t *testing.T) {
 }
 
 // TestBatcherStress: many concurrent requests on a one-worker shard,
-// with a small batch cap and queue, all complete with the right prices
-// — the buffer, the kicks and the blocked dispatches lose nothing.
+// with a small batch cap, all complete with the right prices — the
+// FIFO, the pumps and the slot releases lose nothing.
 func TestBatcherStress(t *testing.T) {
 	s, err := New(Config{
 		Steps: 16, MaxBatch: 8, CacheSize: -1,
-		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 4)},
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -435,7 +440,7 @@ func TestBackpressure429(t *testing.T) {
 	block := make(chan struct{})
 	s, hs := newTestServer(t, Config{
 		Steps: 16, MaxBatch: 1, QueueDepth: 2,
-		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 8)},
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1)},
 	})
 	defer close(block)
 	// MaxBatch 1 makes each option its own submission: one hook call.
@@ -494,7 +499,7 @@ func TestBackpressure429(t *testing.T) {
 func TestBatchTooLarge413(t *testing.T) {
 	s, hs := newTestServer(t, Config{
 		Steps: 16, MaxBatch: 4, QueueDepth: 3,
-		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 8)},
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1)},
 	})
 
 	opts := make([]option.Option, 4)
@@ -545,7 +550,7 @@ func TestBatchTooLarge413(t *testing.T) {
 func TestGracefulShutdownDrains(t *testing.T) {
 	s, err := New(Config{
 		Steps: 16, MaxBatch: 4,
-		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 2, 8)},
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 2)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -610,20 +615,22 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestDispatchSpillsAcrossShards: when the fastest shard's worker is
-// busy and its queue full, batches must land on the other shard rather
-// than deadlock. The fast shard (fpga-ivb) is also the cheaper per
+// TestDispatchSpillsAcrossShards: when the cheap shard's worker is
+// busy, the next batch lands on the idle dearer shard; once both are
+// busy, the rest wait in the FIFO, never on a busy shard, and start as
+// the workers free. The fast shard (fpga-ivb) is also the cheaper per
 // option, so energy-first placement offers it work first. Fault hooks
 // hold every submission until the test has seen the exact placement,
 // so the outcome does not depend on scheduling.
 func TestDispatchSpillsAcrossShards(t *testing.T) {
 	release := make(chan struct{})
-	fastBusy := make(chan struct{}, 1)
+	// One report per submission, and each shard makes at most n.
+	fastBusy, slowBusy := make(chan struct{}, 8), make(chan struct{}, 8)
 	s, err := New(Config{
 		Steps: 16, MaxBatch: 1, QueueDepth: 64,
 		Backends: []BackendConfig{
-			testShard(t, "fpga-ivb", 16, 1, 1),
-			testShard(t, "cpu-ref", 16, 1, 8),
+			testShard(t, "fpga-ivb", 16, 1),
+			testShard(t, "cpu-ref", 16, 1),
 		},
 	})
 	if err != nil {
@@ -631,14 +638,12 @@ func TestDispatchSpillsAcrossShards(t *testing.T) {
 	}
 	fast, slow := s.backends[0], s.backends[1]
 	fast.cfg.Engine.SetFaultHook(func() error {
-		select {
-		case fastBusy <- struct{}{}:
-		default:
-		}
+		fastBusy <- struct{}{}
 		<-release
 		return nil
 	})
 	slow.cfg.Engine.SetFaultHook(func() error {
+		slowBusy <- struct{}{}
 		<-release
 		return nil
 	})
@@ -657,32 +662,227 @@ func TestDispatchSpillsAcrossShards(t *testing.T) {
 	// The first job occupies the fast shard's only worker...
 	price(0)
 	<-fastBusy
-	// ...then the rest fill its one-slot queue and spill to the slow
-	// shard. Nothing is released until every job has been placed.
-	for i := 1; i < n; i++ {
+	// ...the second spills to the idle slow shard...
+	price(1)
+	<-slowBusy
+	// ...and the rest wait in the FIFO. Nothing is released until every
+	// job has been admitted.
+	for i := 2; i < n; i++ {
 		price(i)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for fast.pending.Load()+slow.pending.Load() < n {
+	for s.batcher.pendingLen() < n-2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d+%d of %d jobs placed", fast.pending.Load(), slow.pending.Load(), n)
+			t.Fatalf("only %d of %d jobs wait in the FIFO", s.batcher.pendingLen(), n-2)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := len(fast.jobs); got != cap(fast.jobs) {
-		t.Errorf("fast shard queue holds %d of %d batches with its worker busy", got, cap(fast.jobs))
+	if f, sl := fast.pending.Load(), slow.pending.Load(); f != 1 || sl != 1 {
+		t.Errorf("shards hold fast=%d slow=%d options with both workers busy, want 1 each", f, sl)
 	}
 	close(release)
 	wg.Wait()
 
 	fastN := s.metrics.backendCounter(fast.cfg.Name).Load()
 	slowN := s.metrics.backendCounter(slow.cfg.Name).Load()
-	if fastN != 2 || slowN != n-2 {
-		t.Fatalf("shards priced fast=%d slow=%d, want 2 (worker + queue slot) and %d", fastN, slowN, n-2)
+	if fastN < 1 || slowN < 1 || fastN+slowN != n {
+		t.Fatalf("shards priced fast=%d slow=%d, want at least 1 each and %d in all", fastN, slowN, n)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Close(ctx); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// eventually polls cond until it holds, failing the test after ten
+// seconds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestShardRunsAtMostWorkers: under a mixed load of contract batches,
+// revaluations and curve rounds, no shard's engine ever holds more than
+// Workers pieces of work at once. Fault hooks count the engine calls
+// in progress on each shard; a piece of work makes its engine calls one
+// at a time. With every slot held by a revaluation, as many
+// revaluations again wait in the FIFO instead of entering a busy shard.
+func TestShardRunsAtMostWorkers(t *testing.T) {
+	s, url, byCost := placementPool(t)
+	// Reports come only from engine calls held while hold is open: at
+	// most one per slot.
+	entered := make(chan struct{}, 64)
+	hold := make(chan struct{})
+	var once sync.Once
+	unhold := func() { once.Do(func() { close(hold) }) }
+	t.Cleanup(unhold) // runs before the server's own cleanup
+	slots := 0
+	most := make([]atomic.Int64, len(byCost))
+	for i, be := range byCost {
+		slots += be.cfg.Workers
+		var active atomic.Int64
+		be.cfg.Engine.SetFaultHook(func() error {
+			n := active.Add(1)
+			defer active.Add(-1)
+			for m := most[i].Load(); n > m && !most[i].CompareAndSwap(m, n); m = most[i].Load() {
+			}
+			select {
+			case <-hold:
+				// Stay inside a while, so overlapping calls are seen.
+				time.Sleep(100 * time.Microsecond)
+			default:
+				entered <- struct{}{}
+				<-hold
+			}
+			return nil
+		})
+	}
+	checkBound := func(phase string) {
+		t.Helper()
+		for i, be := range byCost {
+			if m := most[i].Load(); m > int64(be.cfg.Workers) {
+				t.Errorf("%s: %s ran %d pieces of work at once on %d workers", phase, be.cfg.Name, m, be.cfg.Workers)
+			}
+		}
+	}
+	post := func(path string, req any) int {
+		body, err := json.Marshal(req)
+		if err != nil {
+			return -1
+		}
+		resp, err := http.Post(url+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return -1
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// Held phase: revaluations take every slot, as many again wait.
+	statuses := make(chan int, 2*slots)
+	for i := 0; i < 2*slots; i++ {
+		go func() { statuses <- post("/v1/scenarios", placementRequest()) }()
+	}
+	for i := 0; i < slots; i++ {
+		<-entered
+	}
+	eventually(t, fmt.Sprintf("%d revaluations wait", slots), func() bool { return s.batcher.waitingRuns() == slots })
+	checkBound("held")
+	unhold()
+	for i := 0; i < 2*slots; i++ {
+		if st := <-statuses; st != http.StatusOK {
+			t.Errorf("held phase: revaluation answered %d, want 200", st)
+		}
+	}
+
+	// Mixed phase: three clients each keep one price batch, one
+	// revaluation and one curve in flight, so no more runs are in flight
+	// than the pool has slots and none is refused.
+	const clients, rounds = 3, 3
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		for kind := 0; kind < 3; kind++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					var path string
+					var req any
+					switch kind {
+					case 0:
+						contracts := make([]Contract, 8)
+						for k := range contracts {
+							contracts[k] = FromOption(testOption(100*c + 10*r + k))
+						}
+						path, req = "/v1/price", PriceRequest{Contracts: contracts}
+					case 1:
+						path, req = "/v1/scenarios", placementRequest()
+					default:
+						path, req = "/v1/volcurve", VolCurveRequest{Quotes: chainQuotes(t, s.cfg.Steps, 4, int64(c+1))}
+					}
+					if st := post(path, req); st != http.StatusOK {
+						t.Errorf("mixed phase: %s answered %d, want 200", path, st)
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	checkBound("mixed")
+}
+
+// TestCloseDeadlineFailsWaitingWork: when Close's deadline passes while
+// contract jobs and an engine run wait in the FIFO behind a held slot,
+// both fail with ErrClosed without being priced, the admission count
+// returns to zero once the held batch settles, and every runner exits.
+func TestCloseDeadlineFailsWaitingWork(t *testing.T) {
+	g := newGate()
+	s, err := New(Config{
+		Steps: 16, CacheSize: -1,
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.open()
+	eng := s.backends[0].cfg.Engine
+	eng.SetFaultHook(g.hook)
+
+	held := submitJobs(t, s, false, testOption(0))
+	<-g.entered // the shard's only slot is held
+	waiting := submitJobs(t, s, false, testOption(1), testOption(2))
+	book, shocks, quantiles, err := placementRequest().Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	revalued := make(chan error, 1)
+	go func() {
+		_, _, err := s.revalue(scenario.Request{Book: book, Shocks: shocks, Quantiles: quantiles}, s.logger)
+		revalued <- err
+	}()
+	eventually(t, "the revaluation waits", func() bool { return s.batcher.waitingRuns() == 1 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := s.Close(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Close past its deadline: %v, want context.DeadlineExceeded", err)
+	}
+	for _, j := range waiting {
+		if res := <-j.done; !errors.Is(res.err, ErrClosed) {
+			t.Errorf("waiting job %v: got (%v, %v), want ErrClosed", j.opt, res.price, res.err)
+		}
+	}
+	if err := <-revalued; !errors.Is(err, ErrClosed) {
+		t.Errorf("waiting revaluation: %v, want ErrClosed", err)
+	}
+	if n := s.batcher.pendingLen(); n != 0 {
+		t.Errorf("%d entries still wait after the deadline", n)
+	}
+
+	g.open()
+	wantPriced(t, s, held)
+	exited := make(chan struct{})
+	go func() {
+		s.wg.Wait()
+		close(exited)
+	}()
+	select {
+	case <-exited:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a chunk runner outlived its work")
+	}
+	if n := s.QueueDepth(); n != 0 {
+		t.Errorf("queue depth %d after the held batch settled, want 0", n)
+	}
+	if p := eng.PricedOptions(); p != 1 {
+		t.Errorf("engine priced %d options, want only the held one", p)
 	}
 }

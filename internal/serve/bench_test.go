@@ -21,7 +21,7 @@ func BenchmarkServeBatch(b *testing.B) {
 	s, err := New(Config{
 		Steps: 2, MaxBatch: 64,
 		CacheSize: -1, // disable: measure the queue, not the map
-		Backends:  []BackendConfig{testShard(b, "cpu-ref", 2, 2, 64)},
+		Backends:  []BackendConfig{testShard(b, "cpu-ref", 2, 2)},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -93,7 +93,7 @@ func BenchmarkServeBatchTraced(b *testing.B) {
 func BenchmarkServeCacheHit(b *testing.B) {
 	s, err := New(Config{
 		Steps: 2, MaxBatch: 64,
-		Backends: []BackendConfig{testShard(b, "cpu-ref", 2, 2, 64)},
+		Backends: []BackendConfig{testShard(b, "cpu-ref", 2, 2)},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -161,8 +161,8 @@ func (b *breaker) onSuccess() {
 
 // onFailure books one failed pricing. A half-open probe failure
 // re-opens immediately; a closed breaker opens when the windowed error
-// rate crosses the threshold; a failure while already open (a job that
-// was queued before the trip) extends the outage.
+// rate crosses the threshold; a failure while already open (work that
+// started before the trip) extends the outage.
 func (b *breaker) onFailure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()

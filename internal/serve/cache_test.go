@@ -164,7 +164,7 @@ func TestCacheDisabledAndNonFinite(t *testing.T) {
 	// A call on an overflowing spot prices to +Inf on the engine: the
 	// server delivers it, but must not pin it into the cache. NaN takes
 	// the same guard; settle is handed one directly.
-	s, err := New(Config{Steps: 16, Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 8)}})
+	s, err := New(Config{Steps: 16, Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"binopt/internal/bs"
 	"binopt/internal/faults"
 	"binopt/internal/option"
+	"binopt/internal/slo"
 	"binopt/internal/workload"
 )
 
@@ -28,9 +30,9 @@ func TestFailoverAbsorbsShardFaults(t *testing.T) {
 	// The flaky shard is the cheaper per option and the faster to
 	// drain, so the dispatcher prefers it until its breaker opens —
 	// faults are guaranteed to be exercised, not routed around by luck.
-	flaky := testShard(t, "fpga-ivb", 16, 2, 0)
+	flaky := testShard(t, "fpga-ivb", 16, 2)
 	flaky.Name = "flaky"
-	healthy := testShard(t, "cpu-ref", 16, 2, 0)
+	healthy := testShard(t, "cpu-ref", 16, 2)
 	healthy.Name = "healthy"
 	s, hs := newTestServer(t, Config{
 		Steps: 16, QueueDepth: 4096, CacheSize: -1,
@@ -166,7 +168,7 @@ func TestFailoverAbsorbsShardFaults(t *testing.T) {
 // and the error must name the failing contract index.
 func TestExhaustedAttemptsDrainSiblings(t *testing.T) {
 	const poisoned = 5
-	shard := testShard(t, "cpu-ref", 16, 2, 0)
+	shard := testShard(t, "cpu-ref", 16, 2)
 	s, _ := newTestServer(t, Config{
 		Steps: 16, QueueDepth: 256, CacheSize: -1, MaxAttempts: 1,
 		Backends: []BackendConfig{shard},
@@ -217,9 +219,9 @@ func TestExhaustedAttemptsDrainSiblings(t *testing.T) {
 // carries the retry count and the shard that actually priced it.
 func TestRetryRecomputesOnSecondShard(t *testing.T) {
 	// The dead shard is the cheaper per option, so it gets the first try.
-	dead := testShard(t, "fpga-ivb", 16, 1, 0)
+	dead := testShard(t, "fpga-ivb", 16, 1)
 	dead.Name = "dead"
-	alive := testShard(t, "cpu-ref", 16, 1, 0)
+	alive := testShard(t, "cpu-ref", 16, 1)
 	alive.Name = "alive"
 	s, _ := newTestServer(t, Config{
 		Steps: 16, QueueDepth: 64, CacheSize: -1,
@@ -250,9 +252,9 @@ func TestRetryRecomputesOnSecondShard(t *testing.T) {
 // would leave the backoff timer's re-dispatch to send on a closed
 // queue.
 func TestCloseWaitsForBackoffRetry(t *testing.T) {
-	flaky := testShard(t, "fpga-ivb", 16, 1, 0)
+	flaky := testShard(t, "fpga-ivb", 16, 1)
 	flaky.Name = "flaky"
-	healthy := testShard(t, "cpu-ref", 16, 1, 0)
+	healthy := testShard(t, "cpu-ref", 16, 1)
 	healthy.Name = "healthy"
 	s, _ := newTestServer(t, Config{
 		Steps: 16, QueueDepth: 64, CacheSize: -1,
@@ -300,8 +302,8 @@ func TestAttemptBudgetExhaustsAcrossShards(t *testing.T) {
 	s, _ := newTestServer(t, Config{
 		Steps: 16, QueueDepth: 64, CacheSize: -1, MaxAttempts: 3,
 		Backends: []BackendConfig{
-			testShard(t, "fpga-ivb", 16, 1, 0),
-			testShard(t, "cpu-ref", 16, 1, 0),
+			testShard(t, "fpga-ivb", 16, 1),
+			testShard(t, "cpu-ref", 16, 1),
 		},
 	})
 	// Each attempt is a one-job submission: one hook draw.
@@ -339,7 +341,7 @@ func TestAttemptBudgetExhaustsAcrossShards(t *testing.T) {
 // re-running the job alone would draw the shard's fault hook a second
 // time for the same attempt.
 func TestFailedSingletonDrawsHookOnce(t *testing.T) {
-	backends := []BackendConfig{testShard(t, "fpga-ivb", 16, 1, 0), testShard(t, "cpu-ref", 16, 1, 0)}
+	backends := []BackendConfig{testShard(t, "fpga-ivb", 16, 1), testShard(t, "cpu-ref", 16, 1)}
 	s, _ := newTestServer(t, Config{Steps: 16, CacheSize: -1, Backends: backends})
 	inj, err := faults.Parse("fpga-ivb:err=1", 7)
 	if err != nil {
@@ -362,5 +364,81 @@ func TestFailedSingletonDrawsHookOnce(t *testing.T) {
 	}
 	if got := s.metrics.priceErrors.Load(); got != 1 {
 		t.Errorf("price errors = %d, want 1", got)
+	}
+}
+
+// TestNoLatticeIsClientFault: a contract whose CRR probability leaves
+// (0,1) at the server's depth fails the same way on every shard, so
+// each endpoint answers 400 at once, booking no shard error, retry,
+// breaker outcome or SLO spend. At 64 steps and r = 5%, every vol below
+// |r|·√(T/n) = 0.00625 has no lattice, which the solver's 0.005 floor
+// hits on a quoted put, a 0.005-vol contract hits on /v1/price, and a
+// vol shock of 0.02× hits on /v1/scenarios.
+func TestNoLatticeIsClientFault(t *testing.T) {
+	s, hs := newTestServer(t, Config{Steps: 64, CacheSize: -1,
+		SLO: &slo.Options{LatencyThreshold: 5 * time.Second}})
+	put := option.Option{Right: option.Put, Style: option.European, Spot: 100, Strike: 100, Rate: 0.05, Sigma: 0.2, T: 1}
+	quote, err := bs.Price(put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := put
+	flat.Sigma = 0.005
+	volShock := 0.02
+	type post struct {
+		path string
+		req  any
+	}
+	posts := []post{
+		{"/v1/price", PriceRequest{Contracts: []Contract{FromOption(flat)}}},
+		{"/v1/scenarios", ScenarioRequest{
+			Portfolio: []ScenarioPosition{{Contract: FromOption(put), Quantity: 1}},
+			Shocks:    []ShockJSON{{VolMul: &volShock}},
+		}},
+	}
+	// Six curves: enough failed attempts to open a shard's breaker, were
+	// they booked as shard faults.
+	for i := 0; i < 6; i++ {
+		posts = append(posts, post{"/v1/volcurve", VolCurveRequest{Quotes: []QuoteJSON{{Contract: FromOption(put), Price: quote}}}})
+	}
+	for i, body := range posts {
+		resp, out := postJSON(t, hs.URL+body.path, body.req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("request %d to %s: status %d, want 400: %s", i, body.path, resp.StatusCode, out)
+		}
+	}
+	for _, be := range s.backends {
+		if n := be.errs.Load(); n != 0 {
+			t.Errorf("%s booked %d errors", be.cfg.Name, n)
+		}
+		be.breaker.mu.Lock()
+		state, fails := be.breaker.state, be.breaker.fails
+		be.breaker.mu.Unlock()
+		if state != breakerClosed || fails != 0 {
+			t.Errorf("%s breaker %v with %d failures, want closed with none", be.cfg.Name, state, fails)
+		}
+	}
+	if r, pe := s.metrics.retries.Load(), s.metrics.priceErrors.Load(); r != 0 || pe != 0 {
+		t.Errorf("retries = %d, price errors = %d, want 0 and 0", r, pe)
+	}
+	if got := s.slomon.Report().Requests; got != 0 {
+		t.Errorf("SLO monitor booked %d requests, want 0", got)
+	}
+}
+
+// TestStartupProbeBooksNothing: New's parity probe checks every shard's
+// engine without booking the probe on it, so a fresh server's counters
+// show client work only.
+func TestStartupProbeBooksNothing(t *testing.T) {
+	s, err := New(Config{Steps: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	for _, be := range s.backends {
+		eng := be.cfg.Engine
+		if p, j, d := eng.PricedOptions(), eng.ModelledJoules(), eng.ModelledDeviceSeconds(); p != 0 || j != 0 || d != 0 {
+			t.Errorf("%s starts with %d priced options, %v J, %v device s; want none", be.cfg.Name, p, j, d)
+		}
 	}
 }

@@ -41,8 +41,8 @@ func (f *atomicFloat) add(v float64) {
 func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // phaseNames orders the pipeline phase decomposition everywhere it is
-// rendered: the life of one priced option is batch assembly wait, shard
-// queue wait, compute, readback.
+// rendered: the life of one priced option is batch assembly (its wait
+// in the FIFO), hand-off to the shard, compute, readback.
 var phaseNames = []string{"batch", "queue", "compute", "readback"}
 
 // rateWindow is a 10-slot, one-second-granularity sliding window over a

@@ -417,15 +417,12 @@ func readAll(t *testing.T, resp *http.Response) string {
 // placementPool starts a server over the real DefaultBackends engines at
 // 16 steps and returns it with its shards ordered cheapest first, the
 // order energy-first placement tries them in.
-func placementPool(t *testing.T, queueDepth int) (*Server, string, []*backend) {
+func placementPool(t *testing.T) (*Server, string, []*backend) {
 	t.Helper()
 	const steps = 16
 	bcs, err := DefaultBackends(steps)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := range bcs {
-		bcs[i].QueueDepth = queueDepth
 	}
 	s, hs := newTestServer(t, Config{
 		Steps: steps, Backends: bcs, CacheSize: -1,
@@ -467,7 +464,7 @@ func postScenarios(t *testing.T, url string, req ScenarioRequest) ScenarioRespon
 // modelled J/option. (At the 16 steps used here the cheapest default
 // shard is fpga-ivb; at the paper's 1024 it is embedded-keystone.)
 func TestScenarioPlacedEnergyFirst(t *testing.T) {
-	_, url, byCost := placementPool(t, 0)
+	_, url, byCost := placementPool(t)
 	cheapest := byCost[0]
 	fastest := slices.MaxFunc(byCost, func(a, b *backend) int {
 		return cmp.Compare(a.rate, b.rate)
@@ -489,7 +486,7 @@ func TestScenarioPlacedEnergyFirst(t *testing.T) {
 // shed revaluations too — with the cheapest shard's breaker open, the
 // next-cheapest answers.
 func TestScenarioSkipsOpenBreaker(t *testing.T) {
-	_, url, byCost := placementPool(t, 0)
+	_, url, byCost := placementPool(t)
 	b := byCost[0].breaker
 	b.mu.Lock()
 	b.trip()
@@ -505,7 +502,7 @@ func TestScenarioSkipsOpenBreaker(t *testing.T) {
 // revaluation retries on the next shard, answering bit-identically to
 // the reference lattice.
 func TestScenarioFailsOver(t *testing.T) {
-	s, url, byCost := placementPool(t, 0)
+	s, url, byCost := placementPool(t)
 	first := byCost[0]
 	first.cfg.Engine.SetFaultHook(func() error { return errors.New("injected fault") })
 
@@ -560,10 +557,11 @@ func TestScenarioFailsOver(t *testing.T) {
 }
 
 // TestScenarioSaturated429: revaluations hold their shard slots while
-// they run, so once every engine shard's workers and queue are claimed
-// the next revaluation gets 429 with Retry-After; the held ones finish.
+// they run and wait in the FIFO for one otherwise, so once every engine
+// shard's workers are claimed and as many revaluations again wait, the
+// next one gets 429 with Retry-After; the held and waiting ones finish.
 func TestScenarioSaturated429(t *testing.T) {
-	_, url, byCost := placementPool(t, 1)
+	s, url, byCost := placementPool(t)
 	capacity := 0
 	// Every engine call of every revaluation sends once; the buffer is
 	// far beyond capacity × the few calls one revaluation makes, so a
@@ -574,7 +572,7 @@ func TestScenarioSaturated429(t *testing.T) {
 	unblock := func() { once.Do(func() { close(release) }) }
 	t.Cleanup(unblock) // runs before the server's own cleanup
 	for _, be := range byCost {
-		capacity += be.cfg.Workers + be.cfg.QueueDepth
+		capacity += be.cfg.Workers
 		be.cfg.Engine.SetFaultHook(func() error {
 			entered <- struct{}{}
 			<-release
@@ -587,8 +585,8 @@ func TestScenarioSaturated429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	statuses := make(chan int, capacity)
-	for i := 0; i < capacity; i++ {
+	statuses := make(chan int, 2*capacity)
+	for i := 0; i < 2*capacity; i++ {
 		go func() {
 			resp, err := http.Post(url+"/v1/scenarios", "application/json", bytes.NewReader(body))
 			if err != nil {
@@ -608,6 +606,13 @@ func TestScenarioSaturated429(t *testing.T) {
 			t.Fatalf("a revaluation finished with status %d before all %d slots were held", st, capacity)
 		}
 	}
+	for s.batcher.waitingRuns() < capacity {
+		select {
+		case st := <-statuses:
+			t.Fatalf("a revaluation finished with status %d before %d more waited", st, capacity)
+		case <-time.After(time.Millisecond):
+		}
+	}
 
 	resp, out := postJSON(t, url+"/v1/scenarios", req)
 	unblock()
@@ -617,9 +622,9 @@ func TestScenarioSaturated429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	for i := 0; i < capacity; i++ {
+	for i := 0; i < 2*capacity; i++ {
 		if st := <-statuses; st != http.StatusOK {
-			t.Errorf("held revaluation finished with status %d, want 200", st)
+			t.Errorf("held or waiting revaluation finished with status %d, want 200", st)
 		}
 	}
 }

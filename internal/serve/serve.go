@@ -1,7 +1,7 @@
 // Package serve is the pricing service layer over the binopt engines: a
-// batched HTTP/JSON API backed by a dynamic micro-batching queue, a
-// worker pool with one shard per accel-registry platform (FPGA kernel
-// IV.B, GPU, CPU reference, plus any extra registered target), an LRU
+// batched HTTP/JSON API backed by one micro-batching FIFO, a pool
+// with one shard per accel-registry platform (FPGA kernel IV.B, GPU,
+// CPU reference, plus any extra registered target), an LRU
 // result cache keyed by canonicalised contract parameters, and a metrics
 // surface reporting throughput, latency quantiles and modelled energy.
 // Every shard is a platform engine: each cache-miss batch is one
@@ -121,8 +121,9 @@ type Result struct {
 }
 
 // Server is the pricing service. Construct with New, serve via Handler,
-// stop with Close. Every pricing it does runs on a shard's engine:
-// contract batches through the batcher and the shard workers,
+// stop with Close. Every pricing it does runs on a shard's engine, and
+// every piece of work waits for an idle shard slot in the batcher's
+// FIFO: contract batches then run on a runner goroutine of their own,
 // revaluations and implied-vol rounds through the shard runner
 // (onShard) on the request goroutine.
 type Server struct {
@@ -137,10 +138,9 @@ type Server struct {
 	slomon    *slo.Monitor      // nil-safe: nil is the disabled monitor
 	logger    *slog.Logger      // never nil: obslog.Or substitutes Nop
 
-	queued  atomic.Int64 // admitted, not yet completed
-	closed  atomic.Bool
-	aborted chan struct{} // closed when a drain deadline abandons shutdown
-	wg      sync.WaitGroup
+	queued atomic.Int64 // admitted, not yet completed
+	closed atomic.Bool
+	wg     sync.WaitGroup // chunk runners
 
 	// cacheGen is the result cache's market-data generation. A bump —
 	// local via Invalidate, or remote via POST /v1/invalidate from a
@@ -150,7 +150,7 @@ type Server struct {
 	cacheGen atomic.Uint64
 }
 
-// New builds and starts a Server (backend workers launch immediately).
+// New builds and starts a Server.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Backends == nil {
@@ -174,7 +174,6 @@ func New(cfg Config) (*Server, error) {
 		scenarios: newLRU[string, scenario.Report](scenarioCacheCapFor(cfg.CacheSize)),
 		tracer:    cfg.Tracer,
 		logger:    obslog.Or(cfg.Logger),
-		aborted:   make(chan struct{}),
 	}
 	if cfg.Node != "" {
 		s.logger = s.logger.With(obslog.KeyNode, cfg.Node)
@@ -198,20 +197,19 @@ func New(cfg Config) (*Server, error) {
 			return s.tracer.Emitted(), s.tracer.Dropped(), s.tracer.Len()
 		}
 	}
-	s.batcher = newBatcher(cfg.MaxBatch, s.idle)
+	slots := 0
 	for _, be := range s.backends {
-		for w := 0; w < be.cfg.Workers; w++ {
-			s.wg.Add(1)
-			go s.worker(be)
-		}
+		slots += be.cfg.Workers
 	}
+	s.batcher = newBatcher(cfg.MaxBatch, slots)
 	return s, nil
 }
 
 // verifyEngineParity prices one canonical contract on every shard's
 // platform engine and requires the results to match a reference
 // lattice bit for bit — the serving-layer version of the kernel
-// validation in §V-B.
+// validation in §V-B. The probe books nothing, so a fresh server's
+// counters show client work only.
 func (s *Server) verifyEngineParity() error {
 	probe := option.Option{
 		Right: option.Put, Style: option.American,
@@ -226,7 +224,7 @@ func (s *Server) verifyEngineParity() error {
 		return fmt.Errorf("serve: parity reference: %w", err)
 	}
 	for _, be := range s.backends {
-		got, err := be.cfg.Engine.Price(probe)
+		got, err := be.cfg.Engine.PriceUnbooked(probe)
 		if err != nil {
 			return fmt.Errorf("serve: parity probe on %s: %w", be.cfg.Name, err)
 		}
@@ -470,7 +468,7 @@ func (s *Server) PriceOptionsTimed(ctx context.Context, opts []option.Option) ([
 	// from this request are still in flight, and returning early would
 	// silently discard their results and never observe their phase
 	// metrics and spans. Only the caller's context abandons the wait
-	// (the buffered channels keep the workers from blocking on us).
+	// (the buffered channels keep the runners from blocking on us).
 	var firstErr error
 	var env phaseEnvelope
 	for k, j := range jobs {
@@ -497,7 +495,7 @@ func (s *Server) PriceOptionsTimed(ctx context.Context, opts []option.Option) ([
 
 // observeDelivery closes out one priced option on the requester side:
 // it computes the four phase durations from the job's timestamps (the
-// worker wrote them before sending on done), feeds the phase
+// runner wrote them before sending on done), feeds the phase
 // histograms, and books the option's modelled joules into the request
 // ledger and the per-phase energy attribution. It returns when the
 // result was received.
@@ -553,7 +551,7 @@ func (e *phaseEnvelope) add(j *job, recv time.Time) {
 
 // emitPhaseSpans records one batch, queue and readback span for a
 // request's priced options on the requests track. The compute spans
-// were emitted by the workers, one per shard batch.
+// were emitted by the chunk runners, one per shard batch.
 func (s *Server) emitPhaseSpans(req uint64, trace string, env phaseEnvelope) {
 	if !s.tracer.Enabled() || env.options == 0 {
 		return
@@ -595,30 +593,32 @@ func (s *Server) attributeJoules(joules float64, batchD, queueD, computeD, readb
 	s.metrics.phaseJoules["readback"].add(joules - jb - jq - jc)
 }
 
-// Close drains the service: no new work is admitted, the batcher flushes
-// its buffer, every already-admitted option completes, then the shard
-// queues close and workers exit. ctx bounds the drain.
+// Close drains the service: no new work is admitted, and every
+// already-admitted option and every waiting run still starts as shard
+// slots free. ctx bounds the drain: once it expires, whatever still
+// waits in the FIFO fails with ErrClosed, and so does any retry that
+// comes back later.
 func (s *Server) Close(ctx context.Context) error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	s.dispatchBatch(s.batcher.close())
+	s.batcher.close()
 
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
-	for s.queued.Load() > 0 {
+	for s.queued.Load() > 0 || s.batcher.pendingLen() > 0 {
 		select {
 		case <-ctx.Done():
-			// Abandoning the drain: wake any dispatch blocked on a full
-			// shard queue so it can fail its jobs and roll back their
-			// admission instead of leaking on a queue nobody drains.
-			close(s.aborted)
+			for _, e := range s.batcher.abandon() {
+				if e.run != nil {
+					e.run <- nil
+					continue
+				}
+				s.deliverErr(e.job, "", ErrClosed)
+			}
 			return fmt.Errorf("serve: drain interrupted with %d options in flight: %w", s.queued.Load(), ctx.Err())
 		case <-tick.C:
 		}
-	}
-	for _, be := range s.backends {
-		close(be.jobs)
 	}
 	s.wg.Wait()
 	return nil

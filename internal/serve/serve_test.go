@@ -198,7 +198,7 @@ func oversizeBody() []byte {
 // TestOversizeBody413: a body over MaxBodyBytes is refused with 413 on
 // every JSON endpoint, not truncated into malformed JSON and a 400.
 func TestOversizeBody413(t *testing.T) {
-	_, hs := newTestServer(t, Config{Steps: 16, Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1, 8)}})
+	_, hs := newTestServer(t, Config{Steps: 16, Backends: []BackendConfig{testShard(t, "cpu-ref", 16, 1)}})
 	body := oversizeBody()
 	for _, path := range []string{"/v1/price", "/v1/volcurve", "/v1/scenarios"} {
 		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
@@ -371,7 +371,7 @@ func TestDuplicateContractsInOneRequest(t *testing.T) {
 // that prices some other way.
 func TestNewRejectsShardWithoutEngine(t *testing.T) {
 	_, err := New(Config{Steps: 16, Backends: []BackendConfig{
-		testShard(t, "cpu-ref", 16, 1, 8),
+		testShard(t, "cpu-ref", 16, 1),
 		{Name: "bare", Workers: 1},
 	}})
 	if err == nil || !strings.Contains(err.Error(), `backend "bare" has no engine`) {

@@ -187,7 +187,7 @@ func TestVolCurveCommittedBody(t *testing.T) {
 // shard's breaker and error counters and counted as a retry, and the
 // failing engine prices nothing.
 func TestVolCurveFailsOver(t *testing.T) {
-	s, url, byCost := placementPool(t, 0)
+	s, url, byCost := placementPool(t)
 	first := byCost[0]
 	first.cfg.Engine.SetFaultHook(func() error { return errors.New("injected fault") })
 	req := VolCurveRequest{Quotes: chainQuotes(t, s.cfg.Steps, 48, 5)}
@@ -219,11 +219,12 @@ func TestVolCurveFailsOver(t *testing.T) {
 }
 
 // TestVolCurveSaturated429: a curve round holds its shard slot while it
-// runs, so once held rounds claim every engine shard's workers and
-// queue the next curve gets 429 with Retry-After; the held curves
+// runs and waits in the FIFO for one otherwise, so once held rounds
+// claim every engine shard's workers and as many rounds again wait, the
+// next curve gets 429 with Retry-After; the held and waiting curves
 // finish.
 func TestVolCurveSaturated429(t *testing.T) {
-	s, url, byCost := placementPool(t, 1)
+	s, url, byCost := placementPool(t)
 	capacity := 0
 	// Every round of every held curve sends once; the buffer is far
 	// beyond capacity × the rounds of a 4-quote curve, so a released
@@ -234,7 +235,7 @@ func TestVolCurveSaturated429(t *testing.T) {
 	unblock := func() { once.Do(func() { close(release) }) }
 	t.Cleanup(unblock) // runs before the server's own cleanup
 	for _, be := range byCost {
-		capacity += be.cfg.Workers + be.cfg.QueueDepth
+		capacity += be.cfg.Workers
 		be.cfg.Engine.SetFaultHook(func() error {
 			entered <- struct{}{}
 			<-release
@@ -247,8 +248,8 @@ func TestVolCurveSaturated429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	statuses := make(chan int, capacity)
-	for i := 0; i < capacity; i++ {
+	statuses := make(chan int, 2*capacity)
+	for i := 0; i < 2*capacity; i++ {
 		go func() {
 			resp, err := http.Post(url+"/v1/volcurve", "application/json", bytes.NewReader(body))
 			if err != nil {
@@ -268,6 +269,13 @@ func TestVolCurveSaturated429(t *testing.T) {
 			t.Fatalf("a curve finished with status %d before all %d slots were held", st, capacity)
 		}
 	}
+	for s.batcher.waitingRuns() < capacity {
+		select {
+		case st := <-statuses:
+			t.Fatalf("a curve finished with status %d before %d more waited", st, capacity)
+		case <-time.After(time.Millisecond):
+		}
+	}
 
 	resp, out := postJSON(t, url+"/v1/volcurve", req)
 	unblock()
@@ -277,9 +285,9 @@ func TestVolCurveSaturated429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	for i := 0; i < capacity; i++ {
+	for i := 0; i < 2*capacity; i++ {
 		if st := <-statuses; st != http.StatusOK {
-			t.Errorf("held curve finished with status %d, want 200", st)
+			t.Errorf("held or waiting curve finished with status %d, want 200", st)
 		}
 	}
 }
@@ -289,7 +297,7 @@ func TestVolCurveSaturated429(t *testing.T) {
 // pricing on through the shutdown.
 func TestVolCurveRoundAfterClose503(t *testing.T) {
 	s, hs := newTestServer(t, Config{Steps: 32, CacheSize: -1,
-		Backends: []BackendConfig{testShard(t, "cpu-ref", 32, 1, 4)}})
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 32, 1)}})
 	g := newGate()
 	defer g.open()
 	s.backends[0].cfg.Engine.SetFaultHook(g.hook)
@@ -325,7 +333,7 @@ func TestVolCurveRoundAfterClose503(t *testing.T) {
 func TestVolCurveInputBound413(t *testing.T) {
 	const depth = 8
 	s, hs := newTestServer(t, Config{Steps: 32, CacheSize: -1, QueueDepth: depth,
-		Backends: []BackendConfig{testShard(t, "cpu-ref", 32, 1, 4)}})
+		Backends: []BackendConfig{testShard(t, "cpu-ref", 32, 1)}})
 	eng := s.backends[0].cfg.Engine
 	quotes := make([]QuoteJSON, depth+1)
 	for i := range quotes {
